@@ -2,10 +2,11 @@
 
 Glyph images become fixed-length bipolar patterns; an alphabet of patterns
 is stored by superposing Hebbian outer products into one integer weight
-matrix; recognition recalls a key through the store and ranks the agreement
+matrix; recognition recalls a key through the store, in the factored form
+Pᵀ(P·key) over the stack P of stored glyphs, and ranks the agreement
 percentage against every stored glyph. Serial and statically-chunked
-data-parallel kernels produce bit-identical results, and a benchmark harness
-times both paths and emits CSV reports.
+data-parallel dense kernels produce bit-identical results, and a benchmark
+harness times both paths and emits CSV reports.
 """
 
 from .bench import (

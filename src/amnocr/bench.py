@@ -3,9 +3,12 @@
 For every key the harness runs warm-ups (discarded), then the same number of
 timed serial and timed parallel recognitions, asserting that both paths
 produced identical outputs; any divergence aborts the run rather than
-becoming a report entry. Timings are integer nanoseconds from a monotonic
-clock; the median is the headline statistic (means are also derived) because
-it resists scheduler outliers.
+becoming a report entry. Both paths recall through the paper's dense kernels
+on the n x n matrix W (:func:`~amnocr.core.net_input` against
+:func:`~amnocr.parallel.par_net_input`), not through the factored recall that
+:func:`~amnocr.recognize.recognize` uses on its own. Timings are integer
+nanoseconds from a monotonic clock; the median is the headline statistic
+(means are also derived) because it resists scheduler outliers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 from .errors import InvariantError, ParallelDivergenceError
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, flip_noise
-from .recognize import RecognizerModel, repeat_recognize
+from .recognize import RecognizerModel, _dense_view, repeat_recognize
 
 __all__ = [
     "TimingStats",
@@ -98,11 +101,12 @@ def run_benchmark(
     plan: ExecPlan | None = None,
     runs: int = 5,
 ) -> list[ReportRow]:
-    """Time serial and parallel recognition for every key, in input order.
+    """Time dense serial and parallel recognition for every key, in input order.
 
     Per key: one warm-up per execution path (discarded), then ``runs`` timed
-    serial and ``runs`` timed parallel recognitions. Serial/parallel output
-    divergence raises :class:`ParallelDivergenceError`; a mean-of-runs score
+    serial and ``runs`` timed parallel recognitions, recalling through W with
+    ``net_input`` and ``par_net_input``. Serial/parallel output divergence
+    raises :class:`ParallelDivergenceError`; a mean-of-runs score
     differing from the single-run score raises :class:`InvariantError`.
     """
     if not keys:
@@ -110,6 +114,7 @@ def run_benchmark(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     plan = plan or ExecPlan()
+    model = _dense_view(model)
 
     rows: list[ReportRow] = []
     for entry in keys:

@@ -113,13 +113,13 @@ def decode_bmp(data: bytes) -> PixelGrid:
         raise BmpBitDepthError(f"unsupported bit depth {depth} (supported: 1, 4, 8, 24)")
 
     palette: list[int] | None = None
+    palette_start = palette_end = 14 + header_size
     if depth <= 8:
         entries = colors_used if colors_used else 1 << depth
         if entries > (1 << depth):
             raise BmpHeaderError(
                 f"palette declares {entries} entries, more than a {depth}-bit file can address"
             )
-        palette_start = 14 + header_size
         palette_end = palette_start + 4 * entries
         if palette_end > len(data):
             raise BmpTruncatedError(
@@ -129,6 +129,11 @@ def decode_bmp(data: bytes) -> PixelGrid:
         for k in range(entries):
             b, g, r, _ = data[palette_start + 4 * k : palette_start + 4 * k + 4]
             palette.append(_luma(r, g, b))
+
+    if data_offset < palette_end:
+        raise BmpHeaderError(
+            f"pixel data offset {data_offset} points inside the headers and palette, which end at {palette_end}"
+        )
 
     top_down = height < 0
     n_rows = -height if top_down else height

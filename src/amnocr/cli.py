@@ -37,7 +37,7 @@ from .patterns import (
     pixels_to_pattern,
     write_pattern_text,
 )
-from .recognize import MODES, build_model, repeat_recognize
+from .recognize import MODES, build_model, recognize
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec = commands.add_parser("recognize", help="rank one key pattern against the stored alphabet")
     _add_store_flags(rec)
     rec.add_argument("--key", required=True, help="key file (BMP or AMNPAT)")
-    rec.add_argument("--runs", type=_positive_int, default=5, help="repetitions (scores are deterministic; runs feed timing)")
     _add_plan_flags(rec)
     rec.set_defaults(func=cmd_recognize)
 
@@ -167,8 +166,11 @@ def cmd_ingest(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = 0
+    written: dict[str, Path] = {}  # stem -> the input whose output has that name
     for path in files:
         try:
+            if path.stem in written:
+                raise AmnError(f"output {path.stem}.amnpat already written from {written[path.stem]}")
             pattern = pixels_to_pattern(decode_bmp(path.read_bytes()), policy)
             out_path = out_dir / (path.stem + ".amnpat")
             out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
@@ -176,6 +178,7 @@ def cmd_ingest(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failed += 1
             continue
+        written[path.stem] = path
         print(f"{path.stem} {out_path} {pattern.width}x{pattern.height}")
     return EXIT_DATA_ERROR if failed else EXIT_OK
 
@@ -189,14 +192,13 @@ def _build_model_from_args(args):
 def cmd_recognize(args) -> int:
     model, policy = _build_model_from_args(args)
     key = load_pattern_file(args.key, policy)
-    plan = ExecPlan(threads=args.threads, chunk=args.chunk)
     if args.mode == "literal":
         print(
             "note: literal mode reproduces the single-pair training rule, which "
             "scores 100.00 for every stored target by construction",
             file=sys.stderr,
         )
-    result = repeat_recognize(model, key, runs=args.runs, plan=plan)
+    result = recognize(model, key, args.plan)
     for label, score in result.ranked():
         print(f"{label} {format_pct(score)}")
     return EXIT_OK
@@ -215,7 +217,7 @@ def _load_keyset(raw: str, policy: BinarizePolicy) -> list[LabeledPattern]:
 def cmd_bench(args) -> int:
     model, policy = _build_model_from_args(args)
     keys = _load_keyset(args.keys, policy)
-    plan = ExecPlan(threads=args.threads, chunk=args.chunk)
+    plan = args.plan
     rows = run_benchmark(model, keys, plan, runs=args.runs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,8 +236,7 @@ def cmd_bench(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     model, _ = _build_model_from_args(args)
-    plan = ExecPlan(threads=args.threads, chunk=args.chunk)
-    points = noise_sweep(model, args.rates, args.seed, plan, runs=args.runs)
+    points = noise_sweep(model, args.rates, args.seed, args.plan, runs=args.runs)
     write_sweep_csv(points, args.out)
     for p in points:
         print(f"rate {p.rate:g} accuracy {p.top1_accuracy:.4f} mean_match {p.mean_best_match_pct:.2f}")
@@ -245,6 +246,11 @@ def cmd_noise_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "threads"):
+        try:  # a bad AMN_THREADS is a usage error, like a bad --threads
+            args.plan = ExecPlan(threads=args.threads, chunk=args.chunk)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except InvariantError as exc:

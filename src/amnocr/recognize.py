@@ -1,23 +1,31 @@
 """Alphabet store and ranked recognition.
 
 A :class:`RecognizerModel` holds the labeled glyph alphabet. In the default
-``superposed`` mode all glyphs share one weight matrix and a key is ranked by
-how well the recalled output matches each stored glyph; cross-talk between
-stored patterns is what produces partial percentages. The ``literal`` mode
-instead trains a fresh matrix on (key, target) per label and recalls with the
-same key, which provably reproduces the target exactly, so every score is
-100.00; it is kept as executable documentation of that degeneracy.
+``superposed`` mode all glyphs share one weight matrix W = PᵀP, where P is the
+k x n stack of stored glyphs, and a key is ranked by how well the recalled
+output matches each stored glyph; cross-talk between stored patterns is what
+produces partial percentages. Recognition computes the net input as
+Pᵀ(P·key), O(kn) instead of the O(n²) product with W, with the same exact
+integers; W itself is built only on first access to ``model.weights``. The
+``bench`` harness still times the paper's dense serial and parallel kernels
+(:func:`~amnocr.core.net_input`, :func:`~amnocr.parallel.par_net_input`) on W.
+The ``literal`` mode instead trains a fresh matrix on (key, target) per label
+and recalls with the same key, which provably reproduces the target exactly,
+so every score is 100.00; it is kept as executable documentation of that
+degeneracy.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import match_score, net_input, store_patterns, threshold, train_pair, zero_weights
+from .core import ActivationVector, match_score, net_input, threshold, train_pair, zero_weights
 from .parallel import ExecPlan, par_net_input, par_train_pair
 from .patterns import LabeledPattern, Pattern
 
@@ -25,15 +33,38 @@ __all__ = ["MODES", "RecognizerModel", "RecognitionResult", "build_model", "reco
 
 MODES = ("superposed", "literal")
 
+# Superposed recall sums k terms of magnitude <= n, so |a[j]| <= k * n must fit int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True, eq=False)
 class RecognizerModel:
-    """Immutable trained alphabet store; safe for concurrent recognition."""
+    """Immutable trained alphabet store; safe for concurrent recognition.
+
+    ``_targets`` stacks the alphabet as a (k, n) array P: int64 in superposed
+    mode, where every query multiplies by it, and int8 in literal mode.
+    Superposed recognition never needs the n x n matrix W = PᵀP; ``weights``
+    builds it on first access, for the dense kernels.
+    """
 
     entries: tuple[LabeledPattern, ...]
     mode: str
-    weights: np.ndarray | None = field(repr=False)
-    _targets: np.ndarray = field(repr=False)  # stacked (k, n) int8 alphabet
+    _targets: np.ndarray = field(repr=False)
+    _dense: bool = field(default=False, repr=False)  # recall through W (see _dense_view)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray | None:
+        """W = ``store_patterns`` of the entries, read-only; ``None`` in literal mode.
+
+        Built as PᵀP in float64, which is exact: every w[i, j] and every partial
+        sum is an integer of magnitude <= k, far below 2**53.
+        """
+        if self.mode != "superposed":
+            return None
+        p = self._targets.astype(np.float64)
+        w = (p.T @ p).astype(np.int64)
+        w.setflags(write=False)
+        return w
 
     @property
     def n(self) -> int:
@@ -76,8 +107,9 @@ class RecognitionResult:
 def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     """Validate the alphabet and precompute what the mode needs.
 
-    Superposed mode builds the shared weight matrix now; literal mode trains
-    per query, so it only keeps the entries.
+    Superposed mode keeps the alphabet as an int64 stack for factored recall
+    and checks that its net inputs, bounded by k * n, fit int64; literal mode
+    trains per query, so it only keeps the entries.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -92,10 +124,20 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
         if e.label in seen:
             raise ValueError(f"duplicate label {e.label!r}")
         seen.add(e.label)
-    weights = store_patterns([e.pattern for e in entries]) if mode == "superposed" else None
     targets = np.stack([e.pattern.cells for e in entries])
+    if mode == "superposed":
+        if len(entries) * n > _INT64_MAX:
+            raise ValueError(f"{len(entries)} patterns of n={n} could overflow int64 recall (|a| <= k*n)")
+        targets = targets.astype(np.int64)
     targets.setflags(write=False)
-    return RecognizerModel(entries=entries, mode=mode, weights=weights, _targets=targets)
+    return RecognizerModel(entries=entries, mode=mode, _targets=targets)
+
+
+def _dense_view(model: RecognizerModel) -> RecognizerModel:
+    """``model`` recalling through W with the dense serial and parallel kernels, as ``bench`` times it."""
+    view = dataclasses.replace(model, _dense=True)
+    view.__dict__["weights"] = model.weights  # share the cached matrix rather than build another
+    return view
 
 
 def _argmax_label(scores: dict[str, Fraction]) -> str:
@@ -106,19 +148,27 @@ def _argmax_label(scores: dict[str, Fraction]) -> str:
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
     """Rank ``key`` against every stored glyph; deterministic.
 
-    With ``plan`` the kernels run on the data-parallel path, which is
-    bit-identical to the serial one, so results never depend on thread count
-    or chunk size.
+    Superposed mode recalls through the factored form a = Pᵀ(P·key), which
+    equals ``net_input(model.weights, key)`` exactly, on the calling thread
+    whatever ``plan`` says: its O(kn) arithmetic takes less time than starting
+    a worker team. ``plan`` still drives literal mode, and the dense recall
+    through W that ``bench`` times: there it runs the kernels on the
+    data-parallel path, which is bit-identical to the serial one, so results
+    never depend on thread count or chunk size.
     """
     if key.n != model.n:
         raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
 
     if model.mode == "superposed":
-        activations = par_net_input(model.weights, key, plan) if plan else net_input(model.weights, key)
+        p = model._targets
+        if model._dense:
+            activations = par_net_input(model.weights, key, plan) if plan else net_input(model.weights, key)
+        else:
+            activations = ActivationVector(width=key.width, height=key.height, a=(p @ key.cells) @ p)
         recalled = threshold(activations)
-        # One vectorized agreement count over the stacked alphabet; equal to
-        # match_score(recalled, target) per label, integer arithmetic both ways.
-        agree = np.count_nonzero(model._targets == recalled.cells, axis=1)
+        # Bipolar cells agree in (n + p·r) / 2 positions, so this equals
+        # match_score(recalled, target) per label, in exact integers.
+        agree = (model.n + p @ recalled.cells) // 2
         scores = {e.label: Fraction(100 * int(c), model.n) for e, c in zip(model.entries, agree)}
         predicted = _argmax_label(scores)
         return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)

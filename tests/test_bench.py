@@ -1,6 +1,7 @@
 """Benchmark harness: timing capture, divergence tripwire, CSV emission."""
 
 import csv
+import importlib
 import statistics
 from fractions import Fraction
 
@@ -132,6 +133,31 @@ def test_mean_vs_single_run_breach_is_hard_failure(ortho_model, monkeypatch):
     keys = [LabeledPattern("a", ortho_model.entries[0].pattern)]
     with pytest.raises(InvariantError, match="single run"):
         run_benchmark(ortho_model, keys, runs=2)
+
+
+def test_benchmark_times_the_dense_kernels(ortho_model, monkeypatch):
+    # Plain recognition is factored and never touches the dense kernels;
+    # run_benchmark must still time net_input against par_net_input.
+    module = importlib.import_module("amnocr.recognize")
+    calls = {"net_input": 0, "par_net_input": 0}
+
+    def counted(name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counted(name))
+    key = ortho_model.entries[3].pattern
+    amnocr.recognize(ortho_model, key)
+    amnocr.recognize(ortho_model, key, ExecPlan(threads=2))
+    assert calls == {"net_input": 0, "par_net_input": 0}
+    run_benchmark(ortho_model, [LabeledPattern("d", key)], ExecPlan(threads=2), runs=3)
+    assert calls == {"net_input": 4, "par_net_input": 4}  # one warm-up and three timed runs each
 
 
 # --- CSV emission ---

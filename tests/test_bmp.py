@@ -135,6 +135,16 @@ def test_oversized_palette_declaration():
         decode_bmp(blob)
 
 
+def test_pixel_offset_inside_headers_is_header_error():
+    # With offset 0 the 4x2 1-bit file would decode its own header bytes as pixels.
+    data = bytearray(make_bmp([[0, 1, 0, 1], [1, 0, 1, 0]], depth=1))
+    assert decode_bmp(bytes(data)).values.tolist() == [0, 255, 0, 255, 255, 0, 255, 0]
+    for offset in (0, 14 + 40, 14 + 40 + 7):  # header start, palette start, inside the palette
+        data[10:14] = offset.to_bytes(4, "little")
+        with pytest.raises(BmpHeaderError, match="offset"):
+            decode_bmp(bytes(data))
+
+
 def test_pixel_grid_validation():
     with pytest.raises(ValueError):
         PixelGrid(2, 2, [0, 1, 2])  # wrong length

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import amnocr.cli
-from amnocr import ParallelDivergenceError, write_pattern_text
+from amnocr import ParallelDivergenceError, format_pct, recognize, write_pattern_text
 from amnocr.cli import main
 from bmpbytes import glyph_index_rows, make_bmp
 from helpers import hadamard_rows
@@ -58,6 +58,25 @@ def test_ingest_reports_corrupt_file_but_continues(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["good1.amnpat", "good2.amnpat"]
 
 
+def test_ingest_same_stem_twice_is_skipped_not_overwritten(tmp_path, capsys):
+    first = make_bmp(glyph_index_rows(4, 4, seed=1), depth=4)
+    second = make_bmp(glyph_index_rows(4, 4, seed=2), depth=4)
+    for name, blob in (("dirA", first), ("dirB", second)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "g.bmp").write_bytes(blob)
+    out = tmp_path / "pat"
+    argv = ["ingest", str(tmp_path / "dirA"), str(tmp_path / "dirB"), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1
+    assert captured.err.startswith(f"error: {tmp_path / 'dirB' / 'g.bmp'}: ")
+    assert [p.name for p in out.iterdir()] == ["g.amnpat"]
+    written = (out / "g.amnpat").read_text(encoding="utf-8")
+    # A file left by an earlier invocation is overwritten, as before.
+    assert main(["ingest", str(tmp_path / "dirA"), "--out", str(out)]) == 0
+    assert (out / "g.amnpat").read_text(encoding="utf-8") == written
+
+
 def test_ingest_empty_directory(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -76,6 +95,23 @@ def test_recognize_stored_key_ranks_itself_first(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "b 100.00"
     assert len(lines) == len(labels)
+
+
+def test_recognize_runs_once_and_prints_the_ranking(tmp_path, capsys, monkeypatch):
+    manifest, labels, rows = _write_store(tmp_path)
+    key = tmp_path / "key.amnpat"
+    key.write_text(write_pattern_text(rows[5], "probe"), encoding="utf-8")
+    results = []
+
+    def counted(*args):
+        results.append(recognize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(amnocr.cli, "recognize", counted)
+    assert main(["recognize", "--store", str(manifest), "--key", str(key)]) == 0
+    assert len(results) == 1
+    expected = "".join(f"{label} {format_pct(score)}\n" for label, score in results[0].ranked())
+    assert capsys.readouterr().out == expected
 
 
 def test_recognize_literal_mode_warns_and_degenerates(tmp_path, capsys):
@@ -253,6 +289,19 @@ def test_bad_flag_values_are_usage_errors(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["recognize", "--key", "k"], ["bench", "--keys", "k"], ["noise-sweep", "--rates", "0.1", "--seed", "1"]],
+)
+def test_bad_thread_env_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # Rejected while the plan is resolved, before any store is read or thread started.
+    monkeypatch.setenv("AMN_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--store", str(tmp_path / "absent.csv")])
+    assert exc.value.code == 2
+    assert "AMN_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_usage_error_without_subcommand():

@@ -1,5 +1,6 @@
 """Alphabet model construction and ranked recognition."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,12 @@ from amnocr import (
     ExecPlan,
     LabeledPattern,
     build_model,
+    flip_noise,
     match_score,
+    recall,
     recognize,
     repeat_recognize,
+    store_patterns,
 )
 from helpers import bipolar, hadamard_rows, labeled, random_pattern
 
@@ -195,3 +199,84 @@ def test_ranking_is_sorted_best_first(glyph_model_52):
     scores = [s for _, s in ranking]
     assert scores == sorted(scores, reverse=True)
     assert len(ranking) == 52
+
+
+# --- factored superposed recall against the dense n x n path ---
+
+
+def _stored(entries):
+    return store_patterns([e.pattern for e in entries])
+
+
+def _assert_matches_dense(model, w, key):
+    """recognize(model, key) equals recall through W plus match_score per label."""
+    recalled = recall(w, key)
+    scores = {e.label: match_score(recalled, e.pattern) for e in model.entries}
+    result = recognize(model, key)
+    assert result.predicted == min(scores, key=lambda label: (-scores[label], label))
+    assert result.scores == scores
+    assert result.recalled == recalled
+
+
+@pytest.fixture(scope="module")
+def dense_weights_52(glyph_store_52):
+    return _stored(glyph_store_52)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+def test_factored_recall_equals_dense_on_52_glyphs(glyph_model_52, dense_weights_52, rate):
+    for i, entry in enumerate(glyph_model_52.entries):
+        _assert_matches_dense(glyph_model_52, dense_weights_52, flip_noise(entry.pattern, rate, seed=900 + i))
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_factored_recall_equals_dense_on_hadamard_stores(order):
+    rng = np.random.default_rng(order)
+    entries = labeled(hadamard_rows(order))
+    model, w = build_model(entries), _stored(entries)
+    for key in [e.pattern for e in entries] + [random_pattern(rng, order) for _ in range(8)]:
+        _assert_matches_dense(model, w, key)
+
+
+def test_factored_recall_equals_dense_single_entry_and_tie():
+    rng = np.random.default_rng(7)
+    glyph, other = random_pattern(rng, 24), random_pattern(rng, 24)
+    single = [LabeledPattern("A", glyph)]
+    tied = [LabeledPattern("z", glyph), LabeledPattern("b", glyph), LabeledPattern("m", other)]
+    for entries in (single, tied):
+        model, w = build_model(entries), _stored(entries)
+        for key in (glyph, other, random_pattern(rng, 24)):
+            _assert_matches_dense(model, w, key)
+    assert recognize(build_model(tied), glyph).predicted == "b"
+
+
+def test_weights_are_store_patterns_built_once(glyph_store_52, dense_weights_52):
+    model = build_model(glyph_store_52)
+    w = model.weights
+    assert w.dtype == np.int64
+    assert np.array_equal(w, dense_weights_52)
+    assert not w.flags.writeable
+    assert model.weights is w
+    entries = labeled(hadamard_rows(8))
+    assert np.array_equal(build_model(entries).weights, _stored(entries))
+    with pytest.raises(AttributeError):
+        model.weights = w
+
+
+def test_literal_model_has_no_weights_and_no_int64_stack():
+    model = build_model(labeled(hadamard_rows(4)), mode="literal")
+    assert model.weights is None
+    assert model._targets.dtype == np.int8
+    assert build_model(labeled(hadamard_rows(4)))._targets.dtype == np.int64
+
+
+def test_build_model_checks_the_int64_recall_bound(monkeypatch):
+    # |a[j]| <= k * n; lower the limit rather than allocate a store that breaks int64.
+    module = importlib.import_module("amnocr.recognize")
+    entries = labeled(hadamard_rows(4)[:2])  # k * n = 8
+    monkeypatch.setattr(module, "_INT64_MAX", 8)
+    assert build_model(entries).n == 4
+    assert build_model(entries, mode="literal").n == 4
+    monkeypatch.setattr(module, "_INT64_MAX", 7)
+    with pytest.raises(ValueError, match="overflow int64"):
+        build_model(entries)
