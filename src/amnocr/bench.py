@@ -3,9 +3,12 @@
 For every key the harness runs warm-ups (discarded), then the same number of
 timed serial and timed parallel recognitions, asserting that both paths
 produced identical outputs; any divergence aborts the run rather than
-becoming a report entry. Both paths recall through the paper's dense kernels
-on the n x n matrix W (:func:`~amnocr.core.net_input` against
-:func:`~amnocr.parallel.par_net_input`), not through the factored recall that
+becoming a report entry, and names the first differing recalled cell,
+label score or predicted label with both values. Both paths recall through
+the paper's dense kernels on n x n matrices (:func:`~amnocr.core.net_input`
+against :func:`~amnocr.parallel.par_net_input` on W, and in literal mode
+:func:`~amnocr.core.train_pair` against :func:`~amnocr.parallel.par_train_pair`
+per label), not through the factored recall that
 :func:`~amnocr.recognize.recognize` uses on its own. Timings are integer
 nanoseconds from a monotonic clock; the median is the headline statistic
 (means are also derived) because it resists scheduler outliers.
@@ -22,7 +25,7 @@ from pathlib import Path
 from .errors import InvariantError, ParallelDivergenceError
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, flip_noise
-from .recognize import RecognizerModel, _dense_view, repeat_recognize
+from .recognize import RecognitionResult, RecognizerModel, _dense_view, repeat_recognize
 
 __all__ = [
     "TimingStats",
@@ -95,6 +98,17 @@ def _round2(score: Fraction) -> float:
     return cents / 100
 
 
+def _check_agreement(what: str, label: str, serial: RecognitionResult, parallel: RecognitionResult) -> None:
+    """Raise :class:`ParallelDivergenceError` naming the first difference, if any."""
+    difference = serial.first_difference(parallel)
+    if difference is not None:
+        where, serial_value, parallel_value = difference
+        raise ParallelDivergenceError(
+            f"serial and parallel {what} disagree for key {label!r} at {where}: "
+            f"serial {serial_value}, parallel {parallel_value}"
+        )
+
+
 def run_benchmark(
     model: RecognizerModel,
     keys: list[LabeledPattern],
@@ -104,9 +118,9 @@ def run_benchmark(
     """Time dense serial and parallel recognition for every key, in input order.
 
     Per key: one warm-up per execution path (discarded), then ``runs`` timed
-    serial and ``runs`` timed parallel recognitions, recalling through W with
-    ``net_input`` and ``par_net_input``. Serial/parallel output divergence
-    raises :class:`ParallelDivergenceError`; a mean-of-runs score
+    serial and ``runs`` timed parallel recognitions with the dense kernels
+    (see :func:`~amnocr.recognize._dense_view`). Serial/parallel output
+    divergence raises :class:`ParallelDivergenceError`; a mean-of-runs score
     differing from the single-run score raises :class:`InvariantError`.
     """
     if not keys:
@@ -120,16 +134,10 @@ def run_benchmark(
     for entry in keys:
         serial_once = repeat_recognize(model, entry.pattern, 1)  # serial warm-up
         parallel_once = repeat_recognize(model, entry.pattern, 1, plan)  # parallel warm-up
-        if not serial_once.same_outcome(parallel_once):
-            raise ParallelDivergenceError(
-                f"serial and parallel warm-up recognition disagree for key {entry.label!r}"
-            )
+        _check_agreement("warm-up recognition", entry.label, serial_once, parallel_once)
         serial = repeat_recognize(model, entry.pattern, runs)
         parallel = repeat_recognize(model, entry.pattern, runs, plan)
-        if not serial.same_outcome(parallel):
-            raise ParallelDivergenceError(
-                f"serial and parallel recognition disagree for key {entry.label!r}"
-            )
+        _check_agreement("recognition", entry.label, serial, parallel)
         if serial.scores != serial_once.scores:
             raise InvariantError(
                 f"mean-of-{runs}-runs scores differ from a single run for key {entry.label!r}"

@@ -7,7 +7,8 @@ with CSV reports), ``noise-sweep`` (accuracy vs synthetic flip noise).
 Exit codes: 0 success, 1 data error (unreadable or malformed inputs,
 dimension mismatches), 2 usage error, 3 internal invariant breach.
 Thread count resolution: ``--threads`` flag, then ``AMN_THREADS``, then the
-hardware thread count.
+hardware thread count; a flag or variable above ``MAX_THREADS`` (256) is a
+usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bench import (
 )
 from .core import format_pct
 from .errors import AmnError, InvariantError
-from .parallel import ExecPlan
+from .parallel import MAX_THREADS, ExecPlan
 from .patterns import (
     BinarizePolicy,
     LabeledPattern,
@@ -58,40 +59,33 @@ def _rates_list(raw: str) -> list[float]:
     return rates
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} must be >= 1")
-    return value
+def _int_arg(lo: int, hi: int | None, message: str):
+    """An argparse type accepting integers in [lo, hi]; ``hi=None`` leaves it open.
+
+    An out-of-range value is rejected with ``message.format(value)``.
+    """
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{raw!r} is not an integer") from None
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    return parse
 
 
-def _threshold_arg(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer") from None
-    if not 0 <= value <= 255:
-        raise argparse.ArgumentTypeError(f"threshold {value} outside [0, 255]")
-    return value
-
-
-def _seed_arg(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
+_positive_int = _int_arg(1, None, "{} must be >= 1")
+_threshold_arg = _int_arg(0, 255, "threshold {} outside [0, 255]")
+_seed_arg = _int_arg(0, None, "seed must be non-negative")
 
 
 def _add_plan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="worker count (default: AMN_THREADS or all cores)",
+        help=f"worker count, at most {MAX_THREADS} (default: AMN_THREADS or all cores)",
     )
     sub.add_argument(
         "--chunk", type=_positive_int, default=None,
@@ -174,7 +168,7 @@ def cmd_ingest(args) -> int:
             pattern = pixels_to_pattern(decode_bmp(path.read_bytes()), policy)
             out_path = out_dir / (path.stem + ".amnpat")
             out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
-        except (AmnError, OSError) as exc:
+        except (AmnError, OSError, ValueError) as exc:  # ValueError: a stem that cannot be a label
             print(f"error: {path}: {exc}", file=sys.stderr)
             failed += 1
             continue
@@ -247,7 +241,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "threads"):
-        try:  # a bad AMN_THREADS is a usage error, like a bad --threads
+        try:  # a bad AMN_THREADS, or either above MAX_THREADS, is a usage error
             args.plan = ExecPlan(threads=args.threads, chunk=args.chunk)
         except ValueError as exc:
             parser.error(str(exc))

@@ -76,11 +76,19 @@ class ActivationVector:
         )
 
 
-def _check_square(w: np.ndarray) -> np.ndarray:
+def _check_weights(w: np.ndarray, **patterns: Pattern) -> np.ndarray:
+    """``w`` as a square int64 array whose side is every named pattern's n.
+
+    Raises ``ValueError`` naming each pattern's n when the side differs.
+    """
     w = np.asarray(w)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-    return w
+    n = w.shape[0]
+    if any(p.n != n for p in patterns.values()):
+        sizes = ", ".join(f"{name} has n={p.n}" for name, p in patterns.items())
+        raise ValueError(f"dimension mismatch: weights are {n}x{n}, {sizes}")
+    return np.asarray(w, dtype=np.int64)
 
 
 def zero_weights(n: int) -> WeightMatrix:
@@ -98,14 +106,7 @@ def train_pair(w: WeightMatrix, input_pattern: Pattern, target_pattern: Pattern)
     Returns a new matrix; the argument is not mutated. Integer arithmetic,
     no saturation.
     """
-    w = _check_square(w)
-    n = w.shape[0]
-    if input_pattern.n != n or target_pattern.n != n:
-        raise ValueError(
-            f"dimension mismatch: weights are {n}x{n}, input has n={input_pattern.n}, "
-            f"target has n={target_pattern.n}"
-        )
-    out = np.array(w, dtype=np.int64)
+    out = _check_weights(w, input=input_pattern, target=target_pattern).copy()
     out += np.outer(
         input_pattern.cells.astype(np.int64), target_pattern.cells.astype(np.int64)
     )
@@ -135,10 +136,7 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
 
 def net_input(w: WeightMatrix, key: Pattern) -> ActivationVector:
     """Net input to each output node: a[j] = sum_i key[i] * w[i, j], exactly."""
-    w = _check_square(w)
-    if key.n != w.shape[0]:
-        raise ValueError(f"dimension mismatch: weights are {w.shape[0]}x{w.shape[0]}, key has n={key.n}")
-    a = key.cells.astype(np.int64) @ np.asarray(w, dtype=np.int64)
+    a = key.cells.astype(np.int64) @ _check_weights(w, key=key)
     return ActivationVector(width=key.width, height=key.height, a=a)
 
 

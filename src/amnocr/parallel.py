@@ -7,10 +7,12 @@ input over output nodes with each node's full sum done locally. Combined
 with integer arithmetic this makes the parallel results bit-identical to the
 serial kernels, not merely close.
 
-Worker teams are plain threads created per call and joined before the call
-returns; inputs must not be mutated while a call is in flight. The heavy
-lifting happens inside numpy, which releases the GIL, so teams scale on
-multi-core hosts. ``AMN_THREADS`` overrides the default team size.
+A worker team is the calling thread, which takes the first worker's blocks,
+plus one plain thread per other worker that owns a block, created per call
+and joined before the call returns; inputs must not be mutated while a call
+is in flight. The heavy lifting happens inside numpy,
+which releases the GIL, so teams scale on multi-core hosts. ``AMN_THREADS``
+overrides the default team size; a plan asks for at most ``MAX_THREADS``.
 """
 
 from __future__ import annotations
@@ -22,34 +24,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationVector, WeightMatrix, _check_square
+from .core import ActivationVector, WeightMatrix, _check_weights
 from .patterns import Pattern
 
-__all__ = ["ExecPlan", "IndexAssignment", "partition_static", "par_train_pair", "par_net_input"]
+__all__ = ["MAX_THREADS", "ExecPlan", "IndexAssignment", "partition_static", "par_train_pair", "par_net_input"]
 
 THREADS_ENV_VAR = "AMN_THREADS"
 
 
+# The largest team a plan may ask for; far above any core count this package
+# targets, low enough that a typo cannot start thousands of threads.
+MAX_THREADS = 256
+
+
 def _default_threads() -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}") from None
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-        return value
-    return os.cpu_count() or 1
+    if raw is None:
+        return min(os.cpu_count() or 1, MAX_THREADS)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+    if value > MAX_THREADS:
+        raise ValueError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class ExecPlan:
     """Worker count and block size for static chunked scheduling.
 
-    ``threads`` defaults to ``AMN_THREADS`` or the hardware thread count.
-    ``chunk=None`` means one block per worker, ceil(n / threads), resolved
-    when the index range is known.
+    ``threads`` defaults to ``AMN_THREADS`` or the hardware thread count,
+    and must lie in [1, ``MAX_THREADS``]. ``chunk=None`` means one block per
+    worker, ceil(n / threads), resolved when the index range is known.
     """
 
     threads: int | None = None
@@ -60,6 +69,8 @@ class ExecPlan:
             object.__setattr__(self, "threads", _default_threads())
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be at most {MAX_THREADS}, got {self.threads}")
         if self.chunk is not None and self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
 
@@ -90,19 +101,31 @@ def partition_static(n: int, plan: ExecPlan) -> IndexAssignment:
     return IndexAssignment(n=n, ranges=tuple(tuple(r) for r in per_worker))
 
 
-def _run_team(workers) -> None:
-    """Start one thread per worker callable, join all, re-raise any failure."""
+def _run_team(assignment: IndexAssignment, work) -> None:
+    """Call ``work(start, end)`` on every range, each worker's ranges on one thread.
+
+    The calling thread takes the first worker with ranges and a new thread
+    each other one; a worker whose range list is empty gets none, so a team
+    never outnumbers the blocks. Working on the calling thread saves a spawn
+    and keeps its core busy rather than asleep in ``join``: on a 2-vCPU host a
+    2-thread ``par_net_input`` at n=1209 then took 0.61-0.66 of the serial time
+    in 9 runs of 300 calls, against 0.65-1.07 with both workers on new threads.
+    Joins all threads and re-raises the first failure.
+    """
     failures: list[BaseException] = []
 
-    def guarded(fn):
+    def guarded(ranges):
         try:
-            fn()
+            for start, end in ranges:
+                work(start, end)
         except BaseException as exc:  # propagated after join
             failures.append(exc)
 
-    team = [threading.Thread(target=guarded, args=(fn,)) for fn in workers]
+    first, *others = [ranges for ranges in assignment.ranges if ranges]
+    team = [threading.Thread(target=guarded, args=(ranges,)) for ranges in others]
     for t in team:
         t.start()
+    guarded(first)
     for t in team:
         t.join()
     if failures:
@@ -117,26 +140,14 @@ def par_train_pair(
     Parallelized over the row index: a worker updates only the weight rows in
     its assigned ranges, so no two workers ever touch the same cell.
     """
-    w = _check_square(w)
-    n = w.shape[0]
-    if input_pattern.n != n or target_pattern.n != n:
-        raise ValueError(
-            f"dimension mismatch: weights are {n}x{n}, input has n={input_pattern.n}, "
-            f"target has n={target_pattern.n}"
-        )
-    out = np.array(w, dtype=np.int64)
+    out = _check_weights(w, input=input_pattern, target=target_pattern).copy()
     inp = input_pattern.cells.astype(np.int64)
     tgt = target_pattern.cells.astype(np.int64)
-    assignment = partition_static(n, plan)
 
-    def make_worker(ranges):
-        def work():
-            for start, end in ranges:
-                out[start:end, :] += np.outer(inp[start:end], tgt)
+    def work(start, end):
+        out[start:end, :] += np.outer(inp[start:end], tgt)
 
-        return work
-
-    _run_team([make_worker(r) for r in assignment.ranges])
+    _run_team(partition_static(out.shape[0], plan), work)
     out.setflags(write=False)
     return out
 
@@ -148,21 +159,12 @@ def par_net_input(w: WeightMatrix, key: Pattern, plan: ExecPlan) -> ActivationVe
     by the worker that owns j (full sum over inputs done locally), so there
     is no cross-worker accumulation and no reduction ordering to worry about.
     """
-    w = _check_square(w)
-    n = w.shape[0]
-    if key.n != n:
-        raise ValueError(f"dimension mismatch: weights are {n}x{n}, key has n={key.n}")
-    w64 = np.asarray(w, dtype=np.int64)
+    w64 = _check_weights(w, key=key)
     key64 = key.cells.astype(np.int64)
-    a = np.zeros(n, dtype=np.int64)
-    assignment = partition_static(n, plan)
+    a = np.zeros(key.n, dtype=np.int64)
 
-    def make_worker(ranges):
-        def work():
-            for start, end in ranges:
-                a[start:end] = key64 @ w64[:, start:end]
+    def work(start, end):
+        a[start:end] = key64 @ w64[:, start:end]
 
-        return work
-
-    _run_team([make_worker(r) for r in assignment.ranges])
+    _run_team(partition_static(key.n, plan), work)
     return ActivationVector(width=key.width, height=key.height, a=a)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bmp import PixelGrid, decode_bmp
-from .errors import AmnError, ManifestError, PatternFormatError
+from .errors import ManifestError, PatternFormatError
 
 __all__ = [
     "Pattern",
@@ -124,7 +124,7 @@ def write_pattern_text(pattern: Pattern, label: str) -> str:
     """
     if not label:
         raise ValueError("label must be nonempty")
-    if "\n" in label or "\r" in label:
+    if label.splitlines() != [label]:  # any line boundary read_pattern_text would split at
         raise ValueError("label must not contain newlines")
     lines = [f"{AMNPAT_MAGIC} {AMNPAT_VERSION} {pattern.width} {pattern.height} {label}"]
     for row in pattern.rows():
@@ -158,14 +158,15 @@ def read_pattern_text(text: str) -> tuple[Pattern, str]:
             f"row count mismatch: header says {height}, "
             f"found {sum(1 for line in body if line.strip())} rows"
         )
-    cells = np.empty(width * height, dtype=np.int8)
-    for r, line in enumerate(body[:height]):
-        tokens = line.split(" ")
-        if len(tokens) != width:
+    rows = body[:height]
+    for r, line in enumerate(rows):  # before allocating, so the text bounds the cell count
+        if line.count(" ") + 1 != width:
             raise PatternFormatError(
-                f"column count mismatch at row {r}: expected {width} tokens, got {len(tokens)}"
+                f"column count mismatch at row {r}: expected {width} tokens, got {line.count(' ') + 1}"
             )
-        for c, token in enumerate(tokens):
+    cells = np.empty(width * height, dtype=np.int8)
+    for r, line in enumerate(rows):
+        for c, token in enumerate(line.split(" ")):
             if token == "1":
                 cells[r * width + c] = 1
             elif token == "-1":
@@ -186,9 +187,13 @@ def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) ->
     if data.startswith(b"BM"):
         return pixels_to_pattern(decode_bmp(data), policy or BinarizePolicy())
     if data.startswith(AMNPAT_MAGIC.encode()):
-        pattern, _ = read_pattern_text(data.decode("utf-8"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PatternFormatError(f"{path}: AMNPAT text is not UTF-8: {exc}") from None
+        pattern, _ = read_pattern_text(text)
         return pattern
-    raise AmnError(f"{path}: neither a BMP nor an AMNPAT file")
+    raise PatternFormatError(f"{path}: neither a BMP nor an AMNPAT file")
 
 
 def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> list[LabeledPattern]:
@@ -204,12 +209,14 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest") from None
-        if header != ["label", "path"]:
-            raise ManifestError(f"{path}: bad header {header!r}, expected ['label', 'path']")
-        rows = [(reader.line_num, row) for row in reader if row]
+            header = next(reader, None)
+            if header is None:
+                raise ManifestError(f"{path}: empty manifest")
+            if header != ["label", "path"]:
+                raise ManifestError(f"{path}: bad header {header!r}, expected ['label', 'path']")
+            rows = [(reader.line_num, row) for row in reader if row]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ManifestError(f"{path}: {exc}") from None
 
     if not rows:
         raise ManifestError(f"{path}: empty store (manifest has a header but no rows)")
@@ -220,6 +227,8 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
         if len(row) != 2 or not row[0]:
             raise ManifestError(f"{path}:{line_num}: expected 'label,path', got {row!r}")
         label, entry = row
+        if "\x00" in entry:
+            raise ManifestError(f"{path}:{line_num}: path {entry!r} contains a NUL character")
         if label in seen:
             raise ManifestError(f"{path}:{line_num}: duplicate label {label!r}")
         seen.add(label)

@@ -6,13 +6,20 @@ k x n stack of stored glyphs, and a key is ranked by how well the recalled
 output matches each stored glyph; cross-talk between stored patterns is what
 produces partial percentages. Recognition computes the net input as
 Pᵀ(P·key), O(kn) instead of the O(n²) product with W, with the same exact
-integers; W itself is built only on first access to ``model.weights``. The
-``bench`` harness still times the paper's dense serial and parallel kernels
-(:func:`~amnocr.core.net_input`, :func:`~amnocr.parallel.par_net_input`) on W.
+integers; W itself is built only on first access to ``model.weights``.
+
 The ``literal`` mode instead trains a fresh matrix on (key, target) per label
-and recalls with the same key, which provably reproduces the target exactly,
-so every score is 100.00; it is kept as executable documentation of that
-degeneracy.
+and recalls with the same key. That net input is key·(keyᵀt) = (key·key)·t,
+and key·key = n for a bipolar key, so recall reproduces the target exactly and
+every score is 100.00; the mode is kept as executable documentation of that
+degeneracy. Recognition computes (key·key)·P for all k targets at once, again
+O(kn), and never allocates an n x n matrix.
+
+The ``bench`` harness still times the paper's dense serial and parallel
+kernels on both modes: :func:`~amnocr.core.net_input` against
+:func:`~amnocr.parallel.par_net_input` on W, and, in literal mode,
+:func:`~amnocr.core.train_pair` against :func:`~amnocr.parallel.par_train_pair`
+per label.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ class RecognizerModel:
     """Immutable trained alphabet store; safe for concurrent recognition.
 
     ``_targets`` stacks the alphabet as a (k, n) array P: int64 in superposed
-    mode, where every query multiplies by it, and int8 in literal mode.
+    mode, where every query multiplies by it, and int8 in literal mode, where
+    every query scales it by key·key.
     Superposed recognition never needs the n x n matrix W = PᵀP; ``weights``
     builds it on first access, for the dense kernels.
     """
@@ -97,11 +105,28 @@ class RecognitionResult:
 
     def same_outcome(self, other: "RecognitionResult") -> bool:
         """True when the non-timing payload is identical."""
-        return (
-            self.predicted == other.predicted
-            and self.scores == other.scores
-            and self.recalled == other.recalled
-        )
+        return self.first_difference(other) is None
+
+    def first_difference(self, other: "RecognitionResult") -> tuple[str, str, str] | None:
+        """``(where, this value, other value)`` of the first payload difference, or ``None``.
+
+        Looks at the recalled pattern first (its geometry, then the first
+        differing cell index), then the per-label scores in this result's
+        label order, then the predicted label.
+        """
+        mine, theirs = self.recalled, other.recalled
+        if (mine.width, mine.height) != (theirs.width, theirs.height):
+            return "recalled geometry", f"{mine.width}x{mine.height}", f"{theirs.width}x{theirs.height}"
+        cells = np.flatnonzero(mine.cells != theirs.cells)
+        if cells.size:
+            i = int(cells[0])
+            return f"recalled cell {i}", str(int(mine.cells[i])), str(int(theirs.cells[i]))
+        for label in [*self.scores, *(lbl for lbl in other.scores if lbl not in self.scores)]:
+            if self.scores.get(label) != other.scores.get(label):
+                return f"score of label {label!r}", str(self.scores.get(label)), str(other.scores.get(label))
+        if self.predicted != other.predicted:
+            return "predicted label", repr(self.predicted), repr(other.predicted)
+        return None
 
 
 def build_model(entries, mode: str = "superposed") -> RecognizerModel:
@@ -109,7 +134,7 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
 
     Superposed mode keeps the alphabet as an int64 stack for factored recall
     and checks that its net inputs, bounded by k * n, fit int64; literal mode
-    trains per query, so it only keeps the entries.
+    keeps it as int8, since its net inputs are bounded by n.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -134,7 +159,10 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
 
 
 def _dense_view(model: RecognizerModel) -> RecognizerModel:
-    """``model`` recalling through W with the dense serial and parallel kernels, as ``bench`` times it."""
+    """``model`` recalling with the dense serial and parallel kernels, as ``bench`` times it.
+
+    Superposed recall goes through W; literal recall trains an n x n matrix per label.
+    """
     view = dataclasses.replace(model, _dense=True)
     view.__dict__["weights"] = model.weights  # share the cached matrix rather than build another
     return view
@@ -145,22 +173,31 @@ def _argmax_label(scores: dict[str, Fraction]) -> str:
     return min(label for label, s in scores.items() if s == best)
 
 
+def _scores(model: RecognizerModel, agree) -> dict[str, Fraction]:
+    """Per-label percentages from per-label agreeing cell counts, as ``match_score`` gives them."""
+    return {e.label: Fraction(100 * int(c), model.n) for e, c in zip(model.entries, agree)}
+
+
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
     """Rank ``key`` against every stored glyph; deterministic.
 
-    Superposed mode recalls through the factored form a = Pᵀ(P·key), which
-    equals ``net_input(model.weights, key)`` exactly, on the calling thread
-    whatever ``plan`` says: its O(kn) arithmetic takes less time than starting
-    a worker team. ``plan`` still drives literal mode, and the dense recall
-    through W that ``bench`` times: there it runs the kernels on the
+    Both modes recall through a factored form on the calling thread, whatever
+    ``plan`` says: its O(kn) arithmetic takes less time than starting a worker
+    team. Superposed mode computes a = Pᵀ(P·key), which equals
+    ``net_input(model.weights, key)`` exactly. Literal mode computes
+    a = (key·key)·t for every stored target t, which equals training a fresh
+    matrix on (key, t) and recalling with the key. ``plan`` drives only the
+    dense kernels that ``bench`` times: there it runs them on the
     data-parallel path, which is bit-identical to the serial one, so results
     never depend on thread count or chunk size.
     """
     if key.n != model.n:
         raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
+    if model._dense and model.mode == "literal":
+        return _recognize_literal_dense(model, key, plan)
 
+    p = model._targets
     if model.mode == "superposed":
-        p = model._targets
         if model._dense:
             activations = par_net_input(model.weights, key, plan) if plan else net_input(model.weights, key)
         else:
@@ -168,12 +205,22 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
         recalled = threshold(activations)
         # Bipolar cells agree in (n + p·r) / 2 positions, so this equals
         # match_score(recalled, target) per label, in exact integers.
-        agree = (model.n + p @ recalled.cells) // 2
-        scores = {e.label: Fraction(100 * int(c), model.n) for e, c in zip(model.entries, agree)}
-        predicted = _argmax_label(scores)
-        return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
+        scores = _scores(model, (model.n + p @ recalled.cells) // 2)
+        return RecognitionResult(predicted=_argmax_label(scores), scores=scores, recalled=recalled)
 
-    # Literal mode: train on (key, target) and recall with the key, per label.
+    # Literal mode: one row of net inputs per target, |a| <= key·key = n.
+    key64 = key.cells.astype(np.int64)
+    recalled_all = np.where(p.astype(np.int64) * (key64 @ key64) > 0, 1, -1).astype(np.int8)
+    scores = _scores(model, np.count_nonzero(recalled_all == p, axis=1))
+    predicted = _argmax_label(scores)
+    row = recalled_all[model.labels.index(predicted)]
+    return RecognitionResult(
+        predicted=predicted, scores=scores, recalled=Pattern(width=key.width, height=key.height, cells=row)
+    )
+
+
+def _recognize_literal_dense(model: RecognizerModel, key: Pattern, plan: ExecPlan | None) -> RecognitionResult:
+    """Literal mode as the paper runs it: train on (key, target) and recall with the key, per label."""
     scores = {}
     recalled_by_label = {}
     zero = zero_weights(model.n)

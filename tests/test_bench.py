@@ -1,6 +1,7 @@
 """Benchmark harness: timing capture, divergence tripwire, CSV emission."""
 
 import csv
+import dataclasses
 import importlib
 import statistics
 from fractions import Fraction
@@ -111,6 +112,49 @@ def test_divergence_is_a_hard_failure(ortho_model, monkeypatch):
         run_benchmark(ortho_model, keys, runs=1)
 
 
+def _diverge_parallel(monkeypatch, corrupt):
+    """Make the parallel path of run_benchmark return ``corrupt(result)``."""
+    real = amnocr.bench.repeat_recognize
+
+    def sabotaged(model, key, runs=5, plan=None):
+        result = real(model, key, runs, plan)
+        return corrupt(result) if plan is not None else result
+
+    monkeypatch.setattr(amnocr.bench, "repeat_recognize", sabotaged)
+
+
+def test_divergence_names_the_first_differing_cell(ortho_model, monkeypatch):
+    def flip_cells_5_and_6(result):
+        cells = result.recalled.cells.copy()
+        cells[5:7] = -cells[5:7]
+        return dataclasses.replace(result, recalled=Pattern(result.recalled.width, result.recalled.height, cells))
+
+    _diverge_parallel(monkeypatch, flip_cells_5_and_6)
+    key = ortho_model.entries[0].pattern  # row 0 of the Hadamard matrix: all +1
+    with pytest.raises(ParallelDivergenceError) as exc:
+        run_benchmark(ortho_model, [LabeledPattern("a", key)], runs=1)
+    assert str(exc.value) == (
+        "serial and parallel warm-up recognition disagree for key 'a' at recalled cell 5: serial 1, parallel -1"
+    )
+
+
+def test_divergence_names_the_first_differing_score(ortho_model, monkeypatch):
+    def lower_c(result):
+        return dataclasses.replace(result, scores={**result.scores, "c": Fraction(699, 7)})
+
+    _diverge_parallel(monkeypatch, lower_c)
+    keys = [LabeledPattern("c", ortho_model.entries[2].pattern)]
+    with pytest.raises(ParallelDivergenceError, match=r"key 'c' at score of label 'c': serial 100, parallel 699/7$"):
+        run_benchmark(ortho_model, keys, runs=1)
+
+
+def test_divergence_names_both_predicted_labels(ortho_model, monkeypatch):
+    _diverge_parallel(monkeypatch, lambda result: dataclasses.replace(result, predicted="bogus"))
+    keys = [LabeledPattern("a", ortho_model.entries[0].pattern)]
+    with pytest.raises(ParallelDivergenceError, match=r"at predicted label: serial 'a', parallel 'bogus'$"):
+        run_benchmark(ortho_model, keys, runs=1)
+
+
 def test_mean_vs_single_run_breach_is_hard_failure(ortho_model, monkeypatch):
     real = amnocr.bench.repeat_recognize
 
@@ -135,11 +179,10 @@ def test_mean_vs_single_run_breach_is_hard_failure(ortho_model, monkeypatch):
         run_benchmark(ortho_model, keys, runs=2)
 
 
-def test_benchmark_times_the_dense_kernels(ortho_model, monkeypatch):
-    # Plain recognition is factored and never touches the dense kernels;
-    # run_benchmark must still time net_input against par_net_input.
+def _count_kernel_calls(monkeypatch, *names):
+    """Count calls recognition makes to the named kernels; the counts update in place."""
     module = importlib.import_module("amnocr.recognize")
-    calls = {"net_input": 0, "par_net_input": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(module, name)
@@ -150,14 +193,36 @@ def test_benchmark_times_the_dense_kernels(ortho_model, monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def test_benchmark_times_the_dense_kernels(ortho_model, monkeypatch):
+    # Plain recognition is factored and never touches the dense kernels;
+    # run_benchmark must still time net_input against par_net_input.
+    calls = _count_kernel_calls(monkeypatch, "net_input", "par_net_input")
     key = ortho_model.entries[3].pattern
     amnocr.recognize(ortho_model, key)
     amnocr.recognize(ortho_model, key, ExecPlan(threads=2))
     assert calls == {"net_input": 0, "par_net_input": 0}
     run_benchmark(ortho_model, [LabeledPattern("d", key)], ExecPlan(threads=2), runs=3)
     assert calls == {"net_input": 4, "par_net_input": 4}  # one warm-up and three timed runs each
+
+
+def test_benchmark_times_the_literal_training_kernels(monkeypatch):
+    # Plain literal recognition is factored and trains no matrix;
+    # run_benchmark must still time the serial and parallel training and recall.
+    names = ("zero_weights", "train_pair", "par_train_pair", "net_input", "par_net_input")
+    calls = _count_kernel_calls(monkeypatch, *names)
+    model = build_model(labeled(hadamard_rows(8)), mode="literal")
+    key = model.entries[2].pattern
+    for plan in (None, ExecPlan(threads=1), ExecPlan(threads=2, chunk=100), ExecPlan(threads=3, chunk=2)):
+        amnocr.recognize(model, key, plan)
+    assert calls == dict.fromkeys(names, 0)
+    run_benchmark(model, [LabeledPattern("c", key)], ExecPlan(threads=2), runs=2)
+    # One warm-up and two timed runs per path, each training one matrix per label.
+    assert calls == {"zero_weights": 6, "train_pair": 24, "par_train_pair": 24, "net_input": 24, "par_net_input": 24}
 
 
 # --- CSV emission ---

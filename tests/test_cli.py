@@ -77,6 +77,19 @@ def test_ingest_same_stem_twice_is_skipped_not_overwritten(tmp_path, capsys):
     assert (out / "g.amnpat").read_text(encoding="utf-8") == written
 
 
+def test_ingest_reports_a_stem_that_cannot_be_a_label_and_continues(tmp_path, capsys):
+    src = tmp_path / "bmp"
+    src.mkdir()
+    blob = make_bmp(glyph_index_rows(4, 4, seed=1), depth=4)
+    bad = src / "a\x0cb.bmp"  # a form feed would split the AMNPAT header line
+    for path in (bad, src / "good.bmp"):
+        path.write_bytes(blob)
+    out = tmp_path / "pat"
+    assert main(["ingest", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: label must not contain newlines\n"
+    assert [p.name for p in out.iterdir()] == ["good.amnpat"]
+
+
 def test_ingest_empty_directory(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -302,6 +315,19 @@ def test_bad_thread_env_is_usage_error(tmp_path, capsys, monkeypatch, argv):
         main(argv + ["--store", str(tmp_path / "absent.csv")])
     assert exc.value.code == 2
     assert "AMN_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, flag", [(None, "257"), ("257", None)])
+def test_thread_count_above_ceiling_is_usage_error(tmp_path, capsys, monkeypatch, env, flag):
+    # Rejected while the plan is resolved, before any thread is started.
+    monkeypatch.delenv("AMN_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("AMN_THREADS", env)
+    argv = ["bench", "--store", str(tmp_path / "absent.csv"), "--keys", "k"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--threads", flag] if flag else []))
+    assert exc.value.code == 2
+    assert "must be at most 256" in capsys.readouterr().err
 
 
 def test_usage_error_without_subcommand():

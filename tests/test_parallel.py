@@ -1,8 +1,11 @@
 """Static partitioning and bit-exact parallel kernel equivalence."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import amnocr.parallel
 from amnocr import (
     ExecPlan,
     net_input,
@@ -13,6 +16,7 @@ from amnocr import (
     train_pair,
     zero_weights,
 )
+from amnocr.parallel import MAX_THREADS
 from helpers import bipolar, physical_cores, random_pattern
 
 A = bipolar([1, -1, 1, -1])
@@ -85,6 +89,62 @@ def test_plan_env_invalid(monkeypatch):
     monkeypatch.setenv("AMN_THREADS", "-2")
     with pytest.raises(ValueError, match="AMN_THREADS"):
         ExecPlan()
+
+
+def test_plan_thread_ceiling():
+    # Only plans are built here; no team is started.
+    assert MAX_THREADS == 256
+    plan = ExecPlan(threads=MAX_THREADS, chunk=1)
+    assert len(partition_static(3, plan).ranges) == MAX_THREADS
+    with pytest.raises(ValueError, match="threads must be at most 256, got 257"):
+        ExecPlan(threads=MAX_THREADS + 1)
+
+
+def test_plan_env_above_ceiling(monkeypatch):
+    monkeypatch.setenv("AMN_THREADS", str(MAX_THREADS))
+    assert ExecPlan().threads == MAX_THREADS
+    monkeypatch.setenv("AMN_THREADS", "100000")
+    with pytest.raises(ValueError, match="AMN_THREADS must be at most 256, got '100000'"):
+        ExecPlan()
+
+
+def test_plan_default_is_capped(monkeypatch):
+    monkeypatch.delenv("AMN_THREADS", raising=False)
+    monkeypatch.setattr(amnocr.parallel.os, "cpu_count", lambda: 4096)
+    assert ExecPlan().threads == MAX_THREADS
+
+
+def test_team_starts_threads_only_for_workers_with_blocks(monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(amnocr.parallel.threading, "Thread", CountedThread)
+    w, key = store_patterns([A, B]), A
+    plan = ExecPlan(threads=8, chunk=1)  # 4 cells make 4 blocks; the caller takes the first
+    assert par_net_input(w, key, plan) == net_input(w, key)
+    assert len(started) == 3
+    assert np.array_equal(par_train_pair(w, A, B, plan), train_pair(w, A, B))
+    assert len(started) == 6
+    par_net_input(w, key, ExecPlan(threads=2, chunk=4))  # one block, run by the caller
+    assert len(started) == 6
+    assert not any(t.is_alive() for t in started)
+
+
+def test_team_failure_is_raised_after_every_worker_is_joined():
+    finished = []
+
+    def work(start, end):
+        if start == 0:
+            raise RuntimeError("worker 0 failed")
+        finished.append(start)
+
+    with pytest.raises(RuntimeError, match="worker 0 failed"):
+        amnocr.parallel._run_team(partition_static(4, ExecPlan(threads=4, chunk=1)), work)
+    assert sorted(finished) == [1, 2, 3]
 
 
 def test_plan_defaults_to_cpu_count(monkeypatch):

@@ -230,6 +230,43 @@ def test_load_pattern_file_rejects_unknown_bytes(tmp_path):
         load_pattern_file(path)
 
 
+def test_huge_declared_width_is_a_format_error_not_an_allocation():
+    # The header alone must not size the cell array: 10**12 cells would not fit in memory.
+    for width in (10**12, 10**30):
+        with pytest.raises(PatternFormatError, match="column count mismatch at row 0"):
+            read_pattern_text(f"AMNPAT 1 {width} 1 x\n1\n")
+
+
+def test_label_with_any_line_break_is_rejected():
+    # read_pattern_text splits lines at these too, so the text would not read back.
+    for label in ("a\nb", "a\rb", "a\x0cb", "a\x85b", "a\u2028b"):
+        with pytest.raises(ValueError, match="newlines"):
+            write_pattern_text(bipolar([1, -1]), label)
+
+
+def test_amnpat_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.amnpat"
+    path.write_bytes(b"AMNPAT 1 1 1 \xe9t\xe9\n1\n")
+    with pytest.raises(PatternFormatError, match="not UTF-8"):
+        load_pattern_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"label,path\n\x80,a.bmp\n", "codec can't decode"),
+        (b"label,path\nA," + b"x" * 200_000 + b"\n", "field larger than field limit"),
+        (b"label,path\nA,a\x00.bmp\n", "NUL"),
+    ],
+    ids=["not-utf8", "huge-field", "nul-in-path"],
+)
+def test_manifest_malformed_bytes_are_manifest_errors(tmp_path, text, message):
+    manifest = tmp_path / "store.csv"
+    manifest.write_bytes(text)
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(manifest)
+
+
 # --- flip noise ---
 
 

@@ -17,6 +17,7 @@ from amnocr import (
     repeat_recognize,
     store_patterns,
 )
+from amnocr.recognize import _dense_view
 from helpers import bipolar, hadamard_rows, labeled, random_pattern
 
 
@@ -280,3 +281,46 @@ def test_build_model_checks_the_int64_recall_bound(monkeypatch):
     monkeypatch.setattr(module, "_INT64_MAX", 7)
     with pytest.raises(ValueError, match="overflow int64"):
         build_model(entries)
+
+
+# --- factored literal recall against the dense per-label path ---
+
+LITERAL_PLANS = [None, ExecPlan(threads=1), ExecPlan(threads=2, chunk=100), ExecPlan(threads=3, chunk=2)]
+
+
+def _assert_literal_matches_dense(model, key):
+    """Factored literal recognition equals training and recalling an n x n matrix per label."""
+    dense = _dense_view(model)
+    for plan in LITERAL_PLANS:
+        assert recognize(model, key, plan).first_difference(recognize(dense, key, plan)) is None
+
+
+@pytest.mark.parametrize("n", [20, 36, 64])
+def test_factored_literal_equals_dense_on_random_stores(n):
+    rng = np.random.default_rng(400 + n)
+    # Labels in reverse order, so the predicted (smallest) label is not the first entry.
+    model = build_model(labeled([random_pattern(rng, n) for _ in range(5)], list("edcba")), mode="literal")
+    for key in [e.pattern for e in model.entries] + [random_pattern(rng, n) for _ in range(3)]:
+        _assert_literal_matches_dense(model, key)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_factored_literal_equals_dense_on_hadamard_stores(order):
+    model = build_model(labeled(hadamard_rows(order)), mode="literal")
+    for entry in model.entries:
+        _assert_literal_matches_dense(model, entry.pattern)
+
+
+def test_factored_literal_equals_dense_on_glyphs(glyph_store_52):
+    model = build_model(glyph_store_52[:6], mode="literal")
+    for i, entry in enumerate(model.entries):
+        _assert_literal_matches_dense(model, flip_noise(entry.pattern, 0.2, seed=700 + i))
+
+
+def test_factored_literal_keeps_the_key_geometry():
+    # The dense path shapes the recalled pattern like the key, not like the target.
+    model = build_model(labeled(hadamard_rows(4)), mode="literal")
+    key = bipolar([1, -1, -1, 1], width=2, height=2)
+    result = recognize(model, key)
+    assert (result.recalled.width, result.recalled.height) == (2, 2)
+    assert result.same_outcome(recognize(_dense_view(model), key))
