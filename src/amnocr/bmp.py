@@ -1,11 +1,19 @@
 """Native BMP decoder for glyph images.
 
 Supports uncompressed BITMAPINFOHEADER files at bit depths 1, 4, 8 and 24.
-Paletted pixels are resolved through the colour table and then to a single
-intensity with integer luma; 24-bit pixels go straight to luma. Rows are
-de-padded (BMP pads each row to a 4-byte boundary) and bottom-up files
-(positive height field) are flipped so the returned grid is always in
-top-to-bottom row order.
+After the headers are checked, decoding works on whole arrays:
+
+1. The pixel rows are one ``np.frombuffer`` view of shape (rows, padded row
+   bytes), reversed for bottom-up files (positive height field), so row 0 is
+   always the top row and nothing is copied.
+2. 24-bit rows go straight to integer luma over their B, G, R bytes.
+3. Paletted rows are split into colour-table indices: ``np.unpackbits`` for
+   1-bit (most significant bit first), a high/low nibble split for 4-bit and
+   a plain slice for 8-bit. Each cuts the row padding off at ``width``, so
+   pad bits never reach the palette check.
+4. An index past a short colour table is reported at its first top-down
+   (row, column). The rest are looked up through a 256-byte table of palette
+   lumas with ``bytes.translate``, which needs no per-pixel index array.
 """
 
 from __future__ import annotations
@@ -44,13 +52,15 @@ class PixelGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid dimensions must be >= 1, got {self.width}x{self.height}")
-        values = np.asarray(self.values, dtype=np.int64)
+        values = np.asarray(self.values)
+        if values.dtype != np.uint8:  # a uint8 array is in [0, 255] by its type
+            values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1 or values.size != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} values for a "
                 f"{self.width}x{self.height} grid, got {values.size}"
             )
-        if values.size and (values.min() < 0 or values.max() > 255):
+        if values.dtype != np.uint8 and values.size and (values.min() < 0 or values.max() > 255):
             raise ValueError("pixel intensities must lie in [0, 255]")
         values = values.astype(np.uint8)
         values.setflags(write=False)
@@ -70,9 +80,21 @@ class PixelGrid:
         )
 
 
-def _luma(r: int, g: int, b: int) -> int:
-    # Integer luma, half rounds up; keeps decoding bit-exact across platforms.
-    return (299 * r + 587 * g + 114 * b + 500) // 1000
+# B, G, R weights of the integer luma. The int32 accumulator is spelled out:
+# under NumPy 1.x promotion a uint8 array times an int32 scalar is computed in
+# uint16, where 299 * 255 wraps.
+_LUMA_WEIGHTS = np.array([114, 587, 299], dtype=np.int32)
+
+
+def _luma(bgr: np.ndarray) -> np.ndarray:
+    """Integer luma of the (..., 3) B, G, R bytes, half rounding up.
+
+    Integer arithmetic keeps decoding bit-exact across platforms.
+    """
+    acc = np.einsum("...k,k->...", bgr, _LUMA_WEIGHTS, dtype=np.int32)
+    acc += 500
+    acc //= 1000
+    return acc.astype(np.uint8)
 
 
 def decode_bmp(data: bytes) -> PixelGrid:
@@ -112,7 +134,7 @@ def decode_bmp(data: bytes) -> PixelGrid:
     if depth not in _SUPPORTED_DEPTHS:
         raise BmpBitDepthError(f"unsupported bit depth {depth} (supported: 1, 4, 8, 24)")
 
-    palette: list[int] | None = None
+    palette = b""
     palette_start = palette_end = 14 + header_size
     if depth <= 8:
         entries = colors_used if colors_used else 1 << depth
@@ -125,10 +147,8 @@ def decode_bmp(data: bytes) -> PixelGrid:
             raise BmpTruncatedError(
                 f"palette truncated: needs {4 * entries} bytes, file has {len(data) - palette_start}"
             )
-        palette = []
-        for k in range(entries):
-            b, g, r, _ = data[palette_start + 4 * k : palette_start + 4 * k + 4]
-            palette.append(_luma(r, g, b))
+        bgrx = np.frombuffer(data, np.uint8, 4 * entries, palette_start).reshape(entries, 4)
+        palette = _luma(bgrx[:, :3]).tobytes()
 
     if data_offset < palette_end:
         raise BmpHeaderError(
@@ -145,29 +165,31 @@ def decode_bmp(data: bytes) -> PixelGrid:
             f"at offset {data_offset}, file has {max(0, len(data) - data_offset)}"
         )
 
-    values = np.empty(width * n_rows, dtype=np.uint8)
-    for out_row in range(n_rows):
-        src_row = out_row if top_down else n_rows - 1 - out_row
-        row = data[data_offset + src_row * row_stride :][:row_stride]
-        base = out_row * width
-        if depth == 24:
-            for col in range(width):
-                b, g, r = row[3 * col : 3 * col + 3]
-                values[base + col] = _luma(r, g, b)
-        else:
-            for col in range(width):
-                if depth == 8:
-                    index = row[col]
-                elif depth == 4:
-                    byte = row[col // 2]
-                    index = (byte >> 4) if col % 2 == 0 else (byte & 0x0F)
-                else:  # depth == 1, most significant bit first
-                    index = (row[col // 8] >> (7 - col % 8)) & 1
-                if index >= len(palette):
-                    raise BmpPaletteError(
-                        f"palette index {index} out of range ({len(palette)} entries) "
-                        f"at row {out_row}, column {col}"
-                    )
-                values[base + col] = palette[index]
+    rows = np.frombuffer(data, np.uint8, row_stride * n_rows, data_offset).reshape(n_rows, row_stride)
+    if not top_down:
+        rows = rows[::-1]
+    if depth == 24:
+        values = _luma(rows[:, : 3 * width].reshape(n_rows, width, 3))
+        return PixelGrid(width=width, height=n_rows, values=values.reshape(-1))
 
+    if depth == 8:
+        indices = rows[:, :width]
+    elif depth == 4:
+        packed = rows[:, : (width + 1) // 2]
+        nibbles = np.empty((n_rows, 2 * packed.shape[1]), dtype=np.uint8)
+        np.right_shift(packed, 4, out=nibbles[:, 0::2])
+        np.bitwise_and(packed, 0x0F, out=nibbles[:, 1::2])
+        indices = nibbles[:, :width]
+    else:  # depth == 1, most significant bit first
+        indices = np.unpackbits(rows, axis=1, count=width)
+    if len(palette) < 1 << depth:
+        bad = indices >= len(palette)
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad)), width)  # first in top-down order
+            raise BmpPaletteError(
+                f"palette index {indices[row, col]} out of range ({len(palette)} entries) "
+                f"at row {row}, column {col}"
+            )
+    lookup = palette.ljust(256, b"\0")
+    values = np.frombuffer(indices.tobytes().translate(lookup), dtype=np.uint8)
     return PixelGrid(width=width, height=n_rows, values=values)

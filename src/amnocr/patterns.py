@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bmp import PixelGrid, decode_bmp
-from .errors import ManifestError, PatternFormatError
+from .errors import InvariantError, ManifestError, PatternFormatError
 
 __all__ = [
     "Pattern",
@@ -31,6 +31,8 @@ __all__ = [
 
 AMNPAT_MAGIC = "AMNPAT"
 AMNPAT_VERSION = "1"
+
+_ONE, _MINUS_ONE = ord("1"), 0xFF  # the bytes read_pattern_text turns "1" and "-1" tokens into
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +111,17 @@ class LabeledPattern:
 def pixels_to_pattern(grid: PixelGrid, policy: BinarizePolicy | None = None) -> Pattern:
     """Binarize a pixel grid into a bipolar pattern under ``policy``."""
     policy = policy or BinarizePolicy()
-    dark = np.asarray(grid.values, dtype=np.int64) < policy.threshold
+    dark = grid.values < policy.threshold
     foreground = dark if policy.foreground_is_dark else ~dark
-    cells = np.where(foreground, 1, -1).astype(np.int8)
-    return Pattern(width=grid.width, height=grid.height, cells=cells)
+    return Pattern(width=grid.width, height=grid.height, cells=_bipolar(foreground))
+
+
+def _bipolar(mask: np.ndarray) -> np.ndarray:
+    """int8 cells: +1 where ``mask`` is true, -1 elsewhere."""
+    cells = mask.astype(np.int8)
+    cells *= 2
+    cells -= 1
+    return cells
 
 
 def write_pattern_text(pattern: Pattern, label: str) -> str:
@@ -126,10 +135,14 @@ def write_pattern_text(pattern: Pattern, label: str) -> str:
         raise ValueError("label must be nonempty")
     if label.splitlines() != [label]:  # any line boundary read_pattern_text would split at
         raise ValueError("label must not contain newlines")
-    lines = [f"{AMNPAT_MAGIC} {AMNPAT_VERSION} {pattern.width} {pattern.height} {label}"]
-    for row in pattern.rows():
-        lines.append(" ".join(str(int(c)) for c in row))
-    return "\n".join(lines) + "\n"
+    # One sign byte and one separator byte per cell, then "0" widens to "-1".
+    body = np.empty((pattern.height, pattern.width, 2), dtype=np.uint8)
+    body[..., 0] = pattern.rows() > 0
+    body[..., 0] += ord("0")
+    body[..., 1] = ord(" ")
+    body[:, -1, 1] = ord("\n")
+    header = f"{AMNPAT_MAGIC} {AMNPAT_VERSION} {pattern.width} {pattern.height} {label}\n"
+    return header + body.tobytes().replace(b"0", b"-1").decode("ascii")
 
 
 def read_pattern_text(text: str) -> tuple[Pattern, str]:
@@ -164,16 +177,29 @@ def read_pattern_text(text: str) -> tuple[Pattern, str]:
             raise PatternFormatError(
                 f"column count mismatch at row {r}: expected {width} tokens, got {line.count(' ') + 1}"
             )
-    cells = np.empty(width * height, dtype=np.int8)
+    # Every character becomes one byte and every "-1" one 0xFF byte, which
+    # ASCII bytes never are. The rows hold width * height - 1 spaces, so the
+    # tokens are all "1" or "-1" exactly when that leaves 2 * width * height - 1
+    # bytes with "1" or 0xFF at every even position. The dels keep one copy of
+    # the rows alive at a time.
+    joined = " ".join(rows)
+    del lines, body, rows
+    ascii_rows = joined.encode("ascii", "replace")
+    del joined
+    codes = np.frombuffer(ascii_rows.replace(b"-1", bytes([_MINUS_ONE])), dtype=np.uint8)
+    del ascii_rows
+    tokens = codes[0::2]
+    if codes.size != 2 * width * height - 1 or not np.all((tokens == _ONE) | (tokens == _MINUS_ONE)):
+        _raise_first_bad_token(text.splitlines()[1 : height + 1])
+    return Pattern(width=width, height=height, cells=_bipolar(tokens == _ONE)), label
+
+
+def _raise_first_bad_token(rows: list[str]) -> None:
     for r, line in enumerate(rows):
-        for c, token in enumerate(line.split(" ")):
-            if token == "1":
-                cells[r * width + c] = 1
-            elif token == "-1":
-                cells[r * width + c] = -1
-            else:
+        for token in line.split(" "):
+            if token not in ("1", "-1"):
                 raise PatternFormatError(f"invalid token {token!r} at row {r} (must be 1 or -1)")
-    return Pattern(width=width, height=height, cells=cells), label
+    raise InvariantError("the bulk token check rejected rows that hold only 1 and -1")
 
 
 def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) -> Pattern:
@@ -191,6 +217,7 @@ def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) ->
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PatternFormatError(f"{path}: AMNPAT text is not UTF-8: {exc}") from None
+        del data  # the text repeats the file's bytes; keep one copy through the parse
         pattern, _ = read_pattern_text(text)
         return pattern
     raise PatternFormatError(f"{path}: neither a BMP nor an AMNPAT file")

@@ -69,8 +69,36 @@ def test_4bit_odd_width_ignores_pad_nibble():
 
 def test_24bit_luma_weights():
     # Pure channels pin the 299/587/114 integer weighting (half rounds up).
+    # Red also pins the accumulator's width: 299 * 255 does not fit in uint16.
     grid = decode_bmp(make_bmp([[(255, 0, 0), (0, 255, 0), (0, 0, 255)]], depth=24))
     assert grid.values.tolist() == [76, 150, 29]
+
+
+def test_1bit_pad_bits_past_a_short_palette_decode():
+    # One palette entry, so a set pad bit would be index 1, out of range.
+    data = bytearray(make_bmp([[0, 0, 0]], depth=1, palette=[(255, 255, 255)], colors_used=1))
+    start = 14 + 40 + 4
+    data[start] |= 0x1F  # the five bits after the three pixels
+    data[start + 1 : start + 4] = b"\xff\xff\xff"  # the row's pad bytes
+    assert decode_bmp(bytes(data)).values.tolist() == [255, 255, 255]
+
+
+def test_4bit_pad_nibble_past_a_short_palette_decodes():
+    data = bytearray(make_bmp([[1, 2, 3]], depth=4, palette=grayscale_palette(4)[:8], colors_used=8))
+    start = 14 + 40 + 4 * 8
+    assert data[start + 1] == 0x30
+    data[start + 1] |= 0x0F  # pad nibble 15, past the 8 palette entries
+    data[start + 2 : start + 4] = b"\xff\xff"
+    assert decode_bmp(bytes(data)).values.tolist() == [17, 34, 51]
+
+
+def test_palette_error_names_first_top_down_pixel_in_both_row_orders():
+    # Stored bottom-up, the index-12 row comes first in the file; the top-down first bad pixel is the 9.
+    rows = [[0, 1, 2], [3, 9, 4], [12, 0, 0]]
+    for bottom_up in (True, False):
+        blob = make_bmp(rows, depth=4, bottom_up=bottom_up, palette=grayscale_palette(4)[:8], colors_used=8)
+        with pytest.raises(BmpPaletteError, match=r"palette index 9 out of range \(8 entries\) at row 1, column 1$"):
+            decode_bmp(blob)
 
 
 def test_palette_respected_not_just_indices():

@@ -4,8 +4,11 @@
 bytes and text, and inputs built near their formats so that the deeper checks
 are reached. Each must return a valid result or raise its own
 :class:`~amnocr.errors.AmnError` subclass, never ``struct.error``,
-``IndexError``, ``MemoryError`` or any other exception. The runs are
-derandomized, so a failure reproduces on every run.
+``IndexError``, ``MemoryError`` or any other exception. The BMP and AMNPAT
+properties are also differential: the package's whole-array codecs must return
+what the per-pixel and per-token loops in ``oracles`` return, or raise the
+same error class with the same message. The runs are derandomized, so a
+failure reproduces on every run.
 """
 
 import struct
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from amnocr import (
     BmpError,
     ManifestError,
@@ -76,9 +80,39 @@ def mutated_bmps(draw):
     return bytes(blob[: draw(st.integers(0, len(blob)))])
 
 
+@st.composite
+def paletted_bmps(draw):
+    """A well-formed 1-, 4- or 8-bit BMP whose palette and pixel bytes, padding included, are arbitrary.
+
+    A palette shorter than the depth can address makes some of those bytes
+    out-of-range indices, inside or past the row's ``width`` pixels.
+    """
+    depth = draw(st.sampled_from([1, 4, 8]))
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    entries = draw(st.integers(1, 1 << depth))
+    fields = (40, width, height * draw(st.sampled_from([1, -1])), 1, depth, 0, 0, 0, 0, entries, 0)
+    head = struct.pack("<2sIHHI", b"BM", 0, 0, 0, 14 + 40 + 4 * entries) + struct.pack("<IiiHHIIiiII", *fields)
+    size = 4 * entries + ((width * depth + 31) // 32) * 4 * height
+    return head + draw(st.binary(min_size=size, max_size=size))
+
+
+def _same_as_oracle(new, oracle, *args):
+    """``new(*args)`` equals ``oracle(*args)``, or both raise one error class with one message."""
+    try:
+        want = oracle(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception the oracle raises must be matched
+        with pytest.raises(type(exc)) as got:
+            new(*args)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        raise
+    assert new(*args) == want
+    return want
+
+
 def _check_bmp(data):
     try:
-        grid = decode_bmp(data)
+        grid = _same_as_oracle(decode_bmp, oracles.decode_bmp, data)
     except BmpError:
         return
     assert grid.values.size == grid.width * grid.height
@@ -99,6 +133,12 @@ def test_decode_bmp_arbitrary_headers(data):
 @FUZZ
 @given(mutated_bmps())
 def test_decode_bmp_mutated_files(data):
+    _check_bmp(data)
+
+
+@FUZZ
+@given(paletted_bmps())
+def test_decode_bmp_arbitrary_pixel_bytes(data):
     _check_bmp(data)
 
 
@@ -125,7 +165,7 @@ def amnpat_texts(draw):
 
 def _check_pattern_text(text):
     try:
-        pattern, label = read_pattern_text(text)
+        pattern, label = _same_as_oracle(read_pattern_text, oracles.read_pattern_text, text)
     except PatternFormatError:
         return
     assert label
@@ -150,9 +190,10 @@ def test_pattern_text_round_trips(width, height, seed, label):
     pattern = random_pattern(np.random.default_rng(seed), width * height, width=width, height=height)
     if label.splitlines() != [label]:  # would not stay on the header line
         with pytest.raises(ValueError, match="line"):
-            write_pattern_text(pattern, label)
+            _same_as_oracle(write_pattern_text, oracles.write_pattern_text, pattern, label)
         return
-    assert read_pattern_text(write_pattern_text(pattern, label)) == (pattern, label)
+    text = _same_as_oracle(write_pattern_text, oracles.write_pattern_text, pattern, label)
+    assert _same_as_oracle(read_pattern_text, oracles.read_pattern_text, text) == (pattern, label)
 
 
 # --- manifests ---

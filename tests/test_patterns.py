@@ -98,6 +98,22 @@ def test_read_invalid_token():
         read_pattern_text("AMNPAT 1 2 1 q\n1 2\n")
 
 
+@pytest.mark.parametrize(
+    "rows, token",
+    [
+        ("1 1\n1 ", "''"),  # a trailing space: the row's last token is empty
+        ("1 1\n11 -1", "'11'"),
+        ("1 1\n-11 1", "'-11'"),
+        ("1 1\n--1 1", "'--1'"),
+        ("1 1\n-1 \xff", "'\xff'"),  # a character whose Latin-1 byte would pass for a placeholder
+        ("1 1\n-1 \u0661", "'\u0661'"),  # ARABIC-INDIC DIGIT ONE
+    ],
+)
+def test_read_rejects_each_malformed_token_at_its_row(rows, token):
+    with pytest.raises(PatternFormatError, match=f"invalid token {token} at row 1 "):
+        read_pattern_text(f"AMNPAT 1 2 2 q\n{rows}\n")
+
+
 def test_read_bad_magic():
     with pytest.raises(PatternFormatError, match="magic"):
         read_pattern_text("NOTPAT 1 1 1 Z\n1\n")
