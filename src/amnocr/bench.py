@@ -1,8 +1,8 @@
-"""Benchmark harness: timed serial vs parallel recognition and CSV reports.
+"""Benchmark harness: timed serial vs parallel recognition, the noise sweep, CSV reports.
 
-For every key the harness runs warm-ups (discarded), then the same number of
-timed serial and timed parallel recognitions, asserting that both paths
-produced identical outputs; any divergence aborts the run rather than
+For every key :func:`run_benchmark` runs warm-ups (discarded), then the same
+number of timed serial and timed parallel recognitions, asserting that both
+paths produced identical outputs; any divergence aborts the run rather than
 becoming a report entry, and names the first differing recalled cell,
 label score or predicted label with both values. Both paths recall through
 the paper's dense kernels on n x n matrices (:func:`~amnocr.core.net_input`
@@ -12,6 +12,8 @@ per label), not through the factored recall that
 :func:`~amnocr.recognize.recognize` uses on its own. Timings are integer
 nanoseconds from a monotonic clock; the median is the headline statistic
 (means are also derived) because it resists scheduler outliers.
+:func:`noise_sweep` times nothing and runs no dense kernel: it ranks each noisy
+key with :func:`~amnocr.recognize.recognize`, as ``amnocr recognize`` does.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
+from .core import format_pct
 from .errors import InvariantError, ParallelDivergenceError
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, flip_noise
-from .recognize import RecognitionResult, RecognizerModel, _dense_view, repeat_recognize
+from .recognize import RecognitionResult, RecognizerModel, _dense_view, recognize, repeat_recognize
 
 __all__ = [
     "TimingStats",
@@ -73,7 +75,7 @@ class ReportRow:
 
     key_label: str
     predicted_label: str
-    match_pct: float  # best-match percentage, already rounded to 2 decimals
+    match_pct: float  # best-match percentage, rounded to cents by format_pct
     correct: bool
     serial: TimingStats
     parallel: TimingStats
@@ -91,11 +93,6 @@ class SweepPoint:
     rate: float
     top1_accuracy: float
     mean_best_match_pct: float
-
-
-def _round2(score: Fraction) -> float:
-    cents = round(score * 100)
-    return cents / 100
 
 
 def _check_agreement(what: str, label: str, serial: RecognitionResult, parallel: RecognitionResult) -> None:
@@ -146,7 +143,7 @@ def run_benchmark(
             ReportRow(
                 key_label=entry.label,
                 predicted_label=serial.predicted,
-                match_pct=_round2(serial.scores[serial.predicted]),
+                match_pct=float(format_pct(serial.scores[serial.predicted])),
                 correct=entry.label == serial.predicted,
                 serial=TimingStats(serial.timings_ns),
                 parallel=TimingStats(parallel.timings_ns),
@@ -166,27 +163,27 @@ def noise_sweep(
     """Recognition quality vs synthetic flip noise on the stored alphabet.
 
     For each rate, every stored pattern is corrupted with
-    ``flip_noise(pattern, rate, seed + index)`` and used as a key against the
-    model it came from; the point reports mean top-1 accuracy and the mean
-    best-match percentage over those keys.
+    ``flip_noise(pattern, rate, seed + index)`` and ranked by ``recognize``
+    against the model it came from; the point reports mean top-1 accuracy and
+    the mean best-match percentage (each rounded to cents, as in
+    :class:`ReportRow`) over those keys. Nothing is timed, so no point depends
+    on ``plan`` or ``runs``; ``runs`` is still validated, as ``bench`` does.
     """
     if not rates:
         raise ValueError("rates must be nonempty")
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"flip rate must lie in [0, 1], got {rate}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     points: list[SweepPoint] = []
     for rate in rates:
-        keys = [
-            LabeledPattern(e.label, flip_noise(e.pattern, rate, seed + i))
-            for i, e in enumerate(model.entries)
-        ]
-        rows = run_benchmark(model, keys, plan, runs)
+        results = [recognize(model, flip_noise(e.pattern, rate, seed + i)) for i, e in enumerate(model.entries)]
         points.append(
             SweepPoint(
                 rate=rate,
-                top1_accuracy=sum(r.correct for r in rows) / len(rows),
-                mean_best_match_pct=statistics.fmean(r.match_pct for r in rows),
+                top1_accuracy=sum(r.predicted == lbl for r, lbl in zip(results, model.labels)) / len(results),
+                mean_best_match_pct=statistics.fmean(float(format_pct(r.scores[r.predicted])) for r in results),
             )
         )
     return points

@@ -132,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flags(sweep)
     sweep.add_argument("--rates", required=True, type=_rates_list, help="comma-separated flip rates in [0, 1]")
     sweep.add_argument("--seed", required=True, type=_seed_arg, help="base seed for the noise generator")
-    sweep.add_argument("--runs", type=_positive_int, default=1, help="timed repetitions per path per key")
+    sweep.add_argument(
+        "--runs", type=_positive_int, default=1, help="accepted as for bench; the sweep times nothing and ignores it"
+    )
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
     _add_plan_flags(sweep)
     sweep.set_defaults(func=cmd_noise_sweep)

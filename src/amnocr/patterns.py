@@ -46,15 +46,16 @@ class Pattern:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"pattern dimensions must be >= 1, got {self.width}x{self.height}")
-        cells = np.asarray(self.cells, dtype=np.int8)
+        cells = np.asarray(self.cells)
         if cells.ndim != 1 or cells.size != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} cells for a "
                 f"{self.width}x{self.height} pattern, got {cells.size}"
             )
-        if not np.all(np.abs(cells) == 1):
+        # Checked before narrowing, which would wrap 255 to -1, cut 1.5 to 1 and 1j (|1j| = 1) to 0.
+        if cells.dtype.kind == "c" or not np.all(np.abs(cells) == 1):
             raise ValueError("pattern cells must all be +1 or -1")
-        cells = cells.copy()
+        cells = cells.astype(np.int8)  # always a copy
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 

@@ -15,11 +15,11 @@ every score is 100.00; the mode is kept as executable documentation of that
 degeneracy. Recognition computes (key·key)·P for all k targets at once, again
 O(kn), and never allocates an n x n matrix.
 
-The ``bench`` harness still times the paper's dense serial and parallel
-kernels on both modes: :func:`~amnocr.core.net_input` against
+Only the ``bench`` harness times the paper's dense serial and parallel
+kernels, on both modes: :func:`~amnocr.core.net_input` against
 :func:`~amnocr.parallel.par_net_input` on W, and, in literal mode,
 :func:`~amnocr.core.train_pair` against :func:`~amnocr.parallel.par_train_pair`
-per label.
+per label. The noise sweep ranks its noisy keys with :func:`recognize`.
 """
 
 from __future__ import annotations

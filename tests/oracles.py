@@ -13,13 +13,19 @@ the package's own result types (``PixelGrid``, ``Pattern``) and raise its own
 error classes with the same messages, so the fuzz tests can require the
 package to return equal results or raise the same error as these for every
 input.
+
+The sweep reference (``noise_sweep``) is the package's original sweep, kept
+verbatim when the package moved to ranking noisy keys with ``recognize``: it
+runs the timed dense benchmark for every key and keeps only the outcomes.
 """
 
+import statistics
 import struct
 from fractions import Fraction
 
 import numpy as np
 
+from amnocr.bench import SweepPoint, run_benchmark
 from amnocr.bmp import PixelGrid
 from amnocr.errors import (
     BmpBitDepthError,
@@ -29,7 +35,7 @@ from amnocr.errors import (
     BmpTruncatedError,
     PatternFormatError,
 )
-from amnocr.patterns import Pattern
+from amnocr.patterns import LabeledPattern, Pattern, flip_noise
 
 
 def zero_matrix(n):
@@ -258,3 +264,36 @@ def read_pattern_text(text: str) -> tuple[Pattern, str]:
             else:
                 raise PatternFormatError(f"invalid token {token!r} at row {r} (must be 1 or -1)")
     return Pattern(width=width, height=height, cells=cells), label
+
+
+# --- sweep reference: the original per-key timed sweep ---
+
+
+def noise_sweep(model, rates, seed, plan=None, runs=1):
+    """Recognition quality vs synthetic flip noise on the stored alphabet.
+
+    For each rate, every stored pattern is corrupted with
+    ``flip_noise(pattern, rate, seed + index)`` and used as a key against the
+    model it came from; the point reports mean top-1 accuracy and the mean
+    best-match percentage over those keys.
+    """
+    if not rates:
+        raise ValueError("rates must be nonempty")
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"flip rate must lie in [0, 1], got {rate}")
+    points: list[SweepPoint] = []
+    for rate in rates:
+        keys = [
+            LabeledPattern(e.label, flip_noise(e.pattern, rate, seed + i))
+            for i, e in enumerate(model.entries)
+        ]
+        rows = run_benchmark(model, keys, plan, runs)
+        points.append(
+            SweepPoint(
+                rate=rate,
+                top1_accuracy=sum(r.correct for r in rows) / len(rows),
+                mean_best_match_pct=statistics.fmean(r.match_pct for r in rows),
+            )
+        )
+    return points

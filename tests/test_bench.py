@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import amnocr.bench
+import oracles
 from amnocr import (
     ExecPlan,
     InvariantError,
@@ -315,6 +316,43 @@ def test_sweep_validates_rates(ortho_model):
         noise_sweep(ortho_model, [0.2, 1.3], seed=1)
     with pytest.raises(ValueError):
         noise_sweep(ortho_model, [], seed=1)
+
+
+def test_sweep_validates_runs(ortho_model):
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        noise_sweep(ortho_model, [0.2], seed=1, runs=0)
+
+
+@pytest.mark.parametrize(
+    "store, rates, seeds, plan, runs",
+    [
+        ("ortho_model", [0.0, 0.1, 0.3, 1.0], (5, 6), ExecPlan(threads=2), 2),
+        # Labels run h..a, so a tie for the top score goes to the later entry;
+        # at these rates about two keys in three tie.
+        ("reversed_hadamard_8", [0.25, 0.5], range(10), None, 1),
+        ("literal_hadamard_8", [0.0, 0.3, 1.0], (4,), ExecPlan(threads=2, chunk=3), 1),
+        ("glyph_model_52", [0.1, 0.4], (3,), ExecPlan(threads=1), 1),
+    ],
+)
+def test_sweep_equals_the_timed_sweep(request, store, rates, seeds, plan, runs):
+    if store == "reversed_hadamard_8":
+        model = build_model(labeled(hadamard_rows(8), list("hgfedcba")))
+    elif store == "literal_hadamard_8":
+        model = build_model(labeled(hadamard_rows(8)), mode="literal")
+    else:
+        model = request.getfixturevalue(store)
+    for seed in seeds:
+        assert noise_sweep(model, rates, seed, plan, runs) == oracles.noise_sweep(model, rates, seed, plan, runs)
+
+
+def test_sweep_runs_no_dense_kernel(ortho_model, monkeypatch):
+    names = ("zero_weights", "train_pair", "par_train_pair", "net_input", "par_net_input")
+    calls = _count_kernel_calls(monkeypatch, *names)
+    literal = build_model(labeled(hadamard_rows(8)), mode="literal")
+    for model in (ortho_model, literal):
+        noise_sweep(model, [0.0, 0.3], seed=2, plan=ExecPlan(threads=2), runs=3)
+    assert calls == dict.fromkeys(names, 0)
+    assert "weights" not in ortho_model.__dict__  # W was never built
 
 
 def test_sweep_csv_round_trip(ortho_model, tmp_path):

@@ -6,7 +6,17 @@ import sys
 import pytest
 
 import amnocr.cli
-from amnocr import ParallelDivergenceError, format_pct, recognize, write_pattern_text
+import oracles
+from amnocr import (
+    ParallelDivergenceError,
+    RecognizerModel,
+    build_model,
+    format_pct,
+    load_manifest,
+    recognize,
+    write_pattern_text,
+    write_sweep_csv,
+)
 from amnocr.cli import main
 from bmpbytes import glyph_index_rows, make_bmp
 from helpers import hadamard_rows
@@ -286,6 +296,23 @@ def test_noise_sweep_identical_invocations_identical_csv(tmp_path):
         ) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("mode", ["superposed", "literal"])
+def test_noise_sweep_never_builds_the_weight_matrix(tmp_path, monkeypatch, mode):
+    # Stands in for a store whose n x n matrix would not fit in memory.
+    manifest, _, _ = _write_store(tmp_path)
+    model = build_model(load_manifest(manifest), mode)
+    expected = write_sweep_csv(oracles.noise_sweep(model, [0.0, 0.25, 0.5], 3), tmp_path / "expected.csv")
+
+    def no_weights(self):
+        raise AssertionError("noise-sweep read model.weights")
+
+    monkeypatch.setattr(RecognizerModel, "weights", property(no_weights))
+    out = tmp_path / "sweep.csv"
+    argv = ["noise-sweep", "--store", str(manifest), "--mode", mode, "--rates", "0,0.25,0.5", "--seed", "3"]
+    assert main(argv + ["--runs", "3", "--threads", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # --- misc ---

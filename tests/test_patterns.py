@@ -29,6 +29,11 @@ def test_pattern_validation():
         Pattern(2, 1, [1, 0])  # 0 is not bipolar
     with pytest.raises(ValueError):
         Pattern(0, 3, [])
+    # Not +-1, though a cast to int8 would turn 257, 255 and 1.5 into +-1 and [255] into an OverflowError.
+    not_bipolar = (np.array([257]), np.array([255]), np.array([1.5]), np.array([-1.0, 1.5]), np.array([1j]))
+    for cells in (*not_bipolar, [255], [-129]):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            Pattern(1, len(cells), cells)
 
 
 def test_pattern_cells_are_read_only():
