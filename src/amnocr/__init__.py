@@ -42,6 +42,7 @@ from .errors import (
     BmpTruncatedError,
     InvariantError,
     ManifestError,
+    MemoryBudgetError,
     ParallelDivergenceError,
     PatternFormatError,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "LabeledPattern",
     "MODES",
     "ManifestError",
+    "MemoryBudgetError",
     "ParallelDivergenceError",
     "Pattern",
     "PatternFormatError",

@@ -18,9 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MemoryBudgetError
 from .patterns import Pattern
 
 __all__ = [
+    "MAX_WEIGHT_BYTES",
     "ActivationVector",
     "zero_weights",
     "train_pair",
@@ -36,6 +38,21 @@ __all__ = [
 # because the dimension is carried by the shape.
 WeightMatrix = np.ndarray
 
+# The most bytes a dense n x n computation may hold at once. The reference
+# 31x39 glyphs need 11.7 MB per int64 W; a 150x150 glyph would need 4 GB,
+# which should end in a typed error, not in an allocation failure.
+MAX_WEIGHT_BYTES = 1 << 30
+
+
+def _check_weight_budget(n: int, matrices: int = 1) -> None:
+    """Raise :class:`MemoryBudgetError` unless ``matrices`` n x n 8-byte matrices fit ``MAX_WEIGHT_BYTES``."""
+    needed = matrices * 8 * n * n
+    if needed > MAX_WEIGHT_BYTES:
+        raise MemoryBudgetError(
+            f"n={n} needs {needed} bytes for dense n x n weights, "
+            f"over the budget of {MAX_WEIGHT_BYTES} bytes (MAX_WEIGHT_BYTES)"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ActivationVector:
@@ -43,7 +60,8 @@ class ActivationVector:
 
     After storing k patterns, every entry is bounded by k * n in magnitude
     for a bipolar key, so int64 never saturates at the sizes this package
-    targets.
+    targets. ``a`` is always copied to a fresh read-only int64 array, once,
+    whatever dtype it arrives in.
     """
 
     width: int
@@ -53,12 +71,11 @@ class ActivationVector:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
-        a = np.asarray(self.a, dtype=np.int64)
+        a = np.array(self.a, dtype=np.int64)
         if a.ndim != 1 or a.size != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} activations, got {a.size}"
             )
-        a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -92,9 +109,10 @@ def _check_weights(w: np.ndarray, **patterns: Pattern) -> np.ndarray:
 
 
 def zero_weights(n: int) -> WeightMatrix:
-    """A fresh all-zero n x n weight matrix."""
+    """A fresh all-zero n x n weight matrix, within ``MAX_WEIGHT_BYTES``."""
     if n < 1:
         raise ValueError(f"weight dimension must be >= 1, got {n}")
+    _check_weight_budget(n)
     w = np.zeros((n, n), dtype=np.int64)
     w.setflags(write=False)
     return w
@@ -118,7 +136,8 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
     """Superpose auto-associative updates for every pattern, from zero.
 
     Equals folding :func:`train_pair` with input == target over the list;
-    integer addition makes the result order-independent.
+    integer addition makes the result order-independent. The matrix and one
+    outer product are checked against ``MAX_WEIGHT_BYTES`` first.
     """
     if not patterns:
         raise ValueError("cannot store an empty pattern list")
@@ -126,6 +145,7 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
     for p in patterns:
         if p.n != n:
             raise ValueError(f"dimension mismatch: patterns with n={n} and n={p.n}")
+    _check_weight_budget(n, matrices=2)
     w = np.zeros((n, n), dtype=np.int64)
     for p in patterns:
         cells = p.cells.astype(np.int64)
@@ -146,7 +166,7 @@ def threshold(activations: ActivationVector) -> Pattern:
     Zero falls to -1, which breaks negation symmetry of recall (not of the
     net input itself).
     """
-    cells = np.where(activations.a > 0, 1, -1).astype(np.int8)
+    cells = np.where(activations.a > 0, np.int8(1), np.int8(-1))
     return Pattern(width=activations.width, height=activations.height, cells=cells)
 
 
@@ -170,4 +190,5 @@ def match_score(a: Pattern, b: Pattern) -> Fraction:
 def format_pct(score: Fraction | float | int) -> str:
     """Render a percentage with exactly two decimals (ties to even)."""
     cents = round(Fraction(score) * 100)
-    return f"{cents // 100}.{cents % 100:02d}"
+    units, rest = divmod(abs(cents), 100)
+    return f"{'-' if cents < 0 else ''}{units}.{rest:02d}"

@@ -42,6 +42,10 @@ class ManifestError(AmnError):
     """Malformed or inconsistent store manifest."""
 
 
+class MemoryBudgetError(AmnError):
+    """A dense n x n matrix would exceed ``MAX_WEIGHT_BYTES``."""
+
+
 class InvariantError(RuntimeError):
     """An internal consistency guarantee was violated; always a bug."""
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ActivationVector, match_score, net_input, threshold, train_pair, zero_weights
+from .core import ActivationVector, _check_weight_budget, match_score, net_input, threshold, train_pair, zero_weights
 from .parallel import ExecPlan, par_net_input, par_train_pair
 from .patterns import LabeledPattern, Pattern
 
@@ -42,15 +42,20 @@ MODES = ("superposed", "literal")
 
 # Superposed recall sums k terms of magnitude <= n, so |a[j]| <= k * n must fit int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# The stack is int32, and so is every product on it, when the widest of them
+# fits: overlaps |P·key| <= n, activations |a| <= k * n, and the agreement
+# sum n + P·r <= 2 * n. That is max(k, 2) * n <= this bound; otherwise int64.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True, eq=False)
 class RecognizerModel:
     """Immutable trained alphabet store; safe for concurrent recognition.
 
-    ``_targets`` stacks the alphabet as a (k, n) array P: int64 in superposed
-    mode, where every query multiplies by it, and int8 in literal mode, where
-    every query scales it by key·key.
+    ``_targets`` stacks the alphabet as a (k, n) array P. In superposed mode
+    every query multiplies by it, so it is int32 when every product of recall
+    fits int32 (max(k, 2) * n <= 2**31 - 1) and int64 otherwise; in literal
+    mode every query scales it by key·key, and it is int8.
     Superposed recognition never needs the n x n matrix W = PᵀP; ``weights``
     builds it on first access, for the dense kernels.
     """
@@ -65,10 +70,13 @@ class RecognizerModel:
         """W = ``store_patterns`` of the entries, read-only; ``None`` in literal mode.
 
         Built as PᵀP in float64, which is exact: every w[i, j] and every partial
-        sum is an integer of magnitude <= k, far below 2**53.
+        sum is an integer of magnitude <= k, far below 2**53. The float64
+        product and its int64 copy are checked against ``MAX_WEIGHT_BYTES``
+        first.
         """
         if self.mode != "superposed":
             return None
+        _check_weight_budget(self.n, matrices=2)
         p = self._targets.astype(np.float64)
         w = (p.T @ p).astype(np.int64)
         w.setflags(write=False)
@@ -132,9 +140,11 @@ class RecognitionResult:
 def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     """Validate the alphabet and precompute what the mode needs.
 
-    Superposed mode keeps the alphabet as an int64 stack for factored recall
-    and checks that its net inputs, bounded by k * n, fit int64; literal mode
-    keeps it as int8, since its net inputs are bounded by n.
+    Superposed mode keeps the alphabet as a stack for factored recall and
+    checks that its net inputs, bounded by k * n, fit int64. The stack is
+    int32 when every product of recall fits int32 (see ``_INT32_MAX``) and
+    int64 otherwise. Literal mode keeps it as int8, since its net inputs are
+    bounded by n.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -153,7 +163,7 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     if mode == "superposed":
         if len(entries) * n > _INT64_MAX:
             raise ValueError(f"{len(entries)} patterns of n={n} could overflow int64 recall (|a| <= k*n)")
-        targets = targets.astype(np.int64)
+        targets = targets.astype(np.int32 if max(len(entries), 2) * n <= _INT32_MAX else np.int64)
     targets.setflags(write=False)
     return RecognizerModel(entries=entries, mode=mode, _targets=targets)
 
@@ -168,14 +178,22 @@ def _dense_view(model: RecognizerModel) -> RecognizerModel:
     return view
 
 
-def _argmax_label(scores: dict[str, Fraction]) -> str:
+def _argmax_label(scores: dict) -> str:
+    """The label with the highest value; ties go to the smallest label."""
     best = max(scores.values())
     return min(label for label, s in scores.items() if s == best)
 
 
-def _scores(model: RecognizerModel, agree) -> dict[str, Fraction]:
-    """Per-label percentages from per-label agreeing cell counts, as ``match_score`` gives them."""
-    return {e.label: Fraction(100 * int(c), model.n) for e, c in zip(model.entries, agree)}
+def _ranked(model: RecognizerModel, agree: np.ndarray) -> tuple[str, dict[str, Fraction]]:
+    """``(predicted, scores)`` from per-label agreeing cell counts, as ``match_score`` scores them.
+
+    The percentage 100 * count / n rises with the count, so the winner is
+    read from the integer counts; the ``Fraction``s are built only for the
+    scores.
+    """
+    n = model.n
+    counts = dict(zip(model.labels, agree.tolist()))
+    return _argmax_label(counts), {label: Fraction(100 * c, n) for label, c in counts.items()}
 
 
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
@@ -184,7 +202,10 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     Both modes recall through a factored form on the calling thread, whatever
     ``plan`` says: its O(kn) arithmetic takes less time than starting a worker
     team. Superposed mode computes a = Pᵀ(P·key), which equals
-    ``net_input(model.weights, key)`` exactly. Literal mode computes
+    ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
+    stack's dtype (int32 within ``_INT32_MAX``, see :func:`build_model`); it
+    never calls BLAS, which would start threads of its own. The winner is
+    picked from integer agreement counts. Literal mode computes
     a = (key·key)·t for every stored target t, which equals training a fresh
     matrix on (key, t) and recalling with the key. ``plan`` drives only the
     dense kernels that ``bench`` times: there it runs them on the
@@ -199,20 +220,24 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     p = model._targets
     if model.mode == "superposed":
         if model._dense:
-            activations = par_net_input(model.weights, key, plan) if plan else net_input(model.weights, key)
+            w = model.weights
+            recalled = threshold(par_net_input(w, key, plan) if plan else net_input(w, key))
         else:
-            activations = ActivationVector(width=key.width, height=key.height, a=(p @ key.cells) @ p)
-        recalled = threshold(activations)
+            # Both operands in p's dtype: a mixed-dtype einsum casts through a buffer on every call.
+            overlaps = np.einsum("kn,n->k", p, key.cells.astype(p.dtype))
+            recalled = threshold(
+                ActivationVector(width=key.width, height=key.height, a=np.einsum("k,kn->n", overlaps, p))
+            )
         # Bipolar cells agree in (n + p·r) / 2 positions, so this equals
         # match_score(recalled, target) per label, in exact integers.
-        scores = _scores(model, (model.n + p @ recalled.cells) // 2)
-        return RecognitionResult(predicted=_argmax_label(scores), scores=scores, recalled=recalled)
+        agree = (model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2
+        predicted, scores = _ranked(model, agree)
+        return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
 
     # Literal mode: one row of net inputs per target, |a| <= key·key = n.
     key64 = key.cells.astype(np.int64)
     recalled_all = np.where(p.astype(np.int64) * (key64 @ key64) > 0, 1, -1).astype(np.int8)
-    scores = _scores(model, np.count_nonzero(recalled_all == p, axis=1))
-    predicted = _argmax_label(scores)
+    predicted, scores = _ranked(model, np.count_nonzero(recalled_all == p, axis=1))
     row = recalled_all[model.labels.index(predicted)]
     return RecognitionResult(
         predicted=predicted, scores=scores, recalled=Pattern(width=key.width, height=key.height, cells=row)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import amnocr.cli
+import amnocr.core
 import oracles
 from amnocr import (
     ParallelDivergenceError,
@@ -187,6 +188,21 @@ def test_bench_writes_reports_and_summary(tmp_path, capsys):
     assert "top1_accuracy 1.0000" in stdout
     assert "mean_best_match 100.00" in stdout
     assert "mean_speedup" in stdout
+
+
+@pytest.mark.parametrize("mode, budget", [("superposed", 255), ("literal", 127)])
+def test_bench_over_the_weight_budget_exits_1(tmp_path, capsys, monkeypatch, mode, budget):
+    # n=4: superposed bench builds W through a float64 product (256 bytes),
+    # literal bench starts from zero_weights (128 bytes).
+    manifest, _, rows = _write_store(tmp_path, order=4)
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", budget)
+    argv = ["bench", "--store", str(manifest), "--keys", str(manifest), "--mode", mode, "--runs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "results")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=4 needs") and f"budget of {budget} bytes" in err
+    assert not (tmp_path / "results").exists()
+    key = tmp_path / "a.amnpat"
+    assert main(["recognize", "--store", str(manifest), "--key", str(key), "--mode", mode]) == 0
 
 
 def test_bench_keys_directory(tmp_path, capsys):

@@ -5,15 +5,18 @@ of them and with a corrupted copy) were computed with tests/oracles.py before
 the kernels existed and are frozen here as literals.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import amnocr.core
 import oracles
 from amnocr import (
     ActivationVector,
+    MemoryBudgetError,
     format_pct,
     match_score,
     net_input,
@@ -37,6 +40,19 @@ def test_zero_weights():
     assert w.sum() == 0 and not w.any()
     big = zero_weights(1209)
     assert big.shape == (1209, 1209) and not big.any()
+
+
+def test_weight_budget_is_checked_before_allocating(monkeypatch):
+    # Lower the budget rather than allocate a matrix that breaks it.
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 8 * 4 * 4)
+    assert zero_weights(4).shape == (4, 4)
+    with pytest.raises(MemoryBudgetError, match=r"n=5 needs 200 bytes .* budget of 128 bytes"):
+        zero_weights(5)
+    # store_patterns holds W and one outer product at once.
+    with pytest.raises(MemoryBudgetError, match=r"n=4 needs 256 bytes .* budget of 128 bytes"):
+        store_patterns([A, B])
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 256)
+    assert store_patterns([A, B]).tolist() == STORE_AB
 
 
 def test_zero_weights_rejects_nonpositive():
@@ -229,3 +245,22 @@ def test_format_pct():
     assert format_pct(Fraction(200, 3)) == "66.67"
     assert format_pct(Fraction(100)) == "100.00"
     assert format_pct(0) == "0.00"
+
+
+def test_format_pct_negative_values():
+    assert format_pct(Fraction(-1, 2)) == "-0.50"
+    assert format_pct(-0.25) == "-0.25"
+    assert format_pct(Fraction(-200, 3)) == "-66.67"
+    assert format_pct(-100) == "-100.00"
+    # Ties go to even cents, and a value that rounds to zero cents has no sign.
+    assert format_pct(Fraction(-1, 200)) == "0.00"
+    assert format_pct(Fraction(-3, 200)) == "-0.02"
+    assert format_pct(Fraction(-5, 200)) == "-0.02"
+
+
+def test_format_pct_positive_values_match_decimal_rounding():
+    # i / 800 is exact in Decimal, whose default rounding is also ties-to-even;
+    # i = 4 (mod 8) is a tie between two cents, and a step of 7 meets every
+    # residue mod 8 across [0, 100].
+    for i in range(0, 80_001, 7):
+        assert format_pct(Fraction(i, 800)) == format(Decimal(i) / 800, ".2f"), i

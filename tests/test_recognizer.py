@@ -9,6 +9,7 @@ import pytest
 from amnocr import (
     ExecPlan,
     LabeledPattern,
+    MemoryBudgetError,
     build_model,
     flip_noise,
     match_score,
@@ -268,7 +269,7 @@ def test_literal_model_has_no_weights_and_no_int64_stack():
     model = build_model(labeled(hadamard_rows(4)), mode="literal")
     assert model.weights is None
     assert model._targets.dtype == np.int8
-    assert build_model(labeled(hadamard_rows(4)))._targets.dtype == np.int64
+    assert build_model(labeled(hadamard_rows(4)))._targets.dtype == np.int32
 
 
 def test_build_model_checks_the_int64_recall_bound(monkeypatch):
@@ -281,6 +282,71 @@ def test_build_model_checks_the_int64_recall_bound(monkeypatch):
     monkeypatch.setattr(module, "_INT64_MAX", 7)
     with pytest.raises(ValueError, match="overflow int64"):
         build_model(entries)
+
+
+# --- the int32 stack against the int64 one ---
+
+
+@pytest.mark.parametrize("k, n", [(3, 4), (1, 4), (2, 16)])
+def test_build_model_keeps_int32_within_its_bound(monkeypatch, k, n):
+    # The widest int32 product is max(k * n, 2 * n); lower the bound rather than build such a store.
+    module = importlib.import_module("amnocr.recognize")
+    entries = labeled(hadamard_rows(n)[:k])
+    bound = max(k, 2) * n
+    monkeypatch.setattr(module, "_INT32_MAX", bound)
+    assert build_model(entries)._targets.dtype == np.int32
+    monkeypatch.setattr(module, "_INT32_MAX", bound - 1)
+    assert build_model(entries)._targets.dtype == np.int64
+    assert build_model(entries, mode="literal")._targets.dtype == np.int8
+
+
+def _int64_model(entries):
+    """``build_model(entries)`` with its int32 bound at 0, so the stack falls back to int64."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("amnocr.recognize"), "_INT32_MAX", 0)
+        model = build_model(entries)
+    assert model._targets.dtype == np.int64
+    return model
+
+
+def _assert_int32_matches_int64(model32, model64, key):
+    assert model32._targets.dtype == np.int32
+    result32, result64 = recognize(model32, key), recognize(model64, key)
+    assert result32.first_difference(result64) is None
+    assert result32.predicted == result64.predicted
+
+
+@pytest.fixture(scope="module")
+def int64_model_52(glyph_store_52):
+    return _int64_model(glyph_store_52)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+def test_int32_stack_equals_int64_on_52_glyphs(glyph_model_52, int64_model_52, rate):
+    for i, entry in enumerate(glyph_model_52.entries):
+        _assert_int32_matches_int64(glyph_model_52, int64_model_52, flip_noise(entry.pattern, rate, seed=900 + i))
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_int32_stack_equals_int64_on_hadamard_stores(order):
+    # Random keys against orthogonal rows give a = 0 cells and tied labels.
+    rng = np.random.default_rng(order)
+    entries = labeled(hadamard_rows(order))
+    model32, model64 = build_model(entries), _int64_model(entries)
+    for key in [e.pattern for e in entries] + [random_pattern(rng, order) for _ in range(8)]:
+        _assert_int32_matches_int64(model32, model64, key)
+
+
+def test_weights_check_the_memory_budget(monkeypatch):
+    # The float64 product and its int64 copy: 2 * 8 * n * n bytes.
+    core = importlib.import_module("amnocr.core")
+    model = build_model(labeled(hadamard_rows(4)))
+    monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", 255)
+    with pytest.raises(MemoryBudgetError, match=r"n=4 needs 256 bytes .* budget of 255 bytes"):
+        model.weights
+    assert recognize(model, model.entries[1].pattern).predicted == "b"  # factored recall needs no W
+    monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", 256)
+    assert np.array_equal(model.weights, _stored(model.entries))
 
 
 # --- factored literal recall against the dense per-label path ---
