@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MemoryBudgetError
-from .patterns import Pattern
+from .patterns import Pattern, _bipolar
 
 __all__ = [
     "MAX_WEIGHT_BYTES",
@@ -122,9 +122,12 @@ def train_pair(w: WeightMatrix, input_pattern: Pattern, target_pattern: Pattern)
     """One Hebbian update: w[i, j] += input[i] * target[j] for every (i, j).
 
     Returns a new matrix; the argument is not mutated. Integer arithmetic,
-    no saturation.
+    no saturation. The argument, its copy and one outer product are checked
+    against ``MAX_WEIGHT_BYTES`` first.
     """
-    out = _check_weights(w, input=input_pattern, target=target_pattern).copy()
+    w = _check_weights(w, input=input_pattern, target=target_pattern)
+    _check_weight_budget(w.shape[0], matrices=3)
+    out = w.copy()
     out += np.outer(
         input_pattern.cells.astype(np.int64), target_pattern.cells.astype(np.int64)
     )
@@ -133,11 +136,12 @@ def train_pair(w: WeightMatrix, input_pattern: Pattern, target_pattern: Pattern)
 
 
 def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
-    """Superpose auto-associative updates for every pattern, from zero.
+    """W = PᵀP, where P is the k x n stack of the patterns.
 
-    Equals folding :func:`train_pair` with input == target over the list;
-    integer addition makes the result order-independent. The matrix and one
-    outer product are checked against ``MAX_WEIGHT_BYTES`` first.
+    Equals folding :func:`train_pair` with input == target over the list.
+    The product runs in float64, which is exact: every partial sum is an
+    integer of magnitude at most k, far below 2**53. The float64 product and
+    its int64 copy are checked against ``MAX_WEIGHT_BYTES`` first.
     """
     if not patterns:
         raise ValueError("cannot store an empty pattern list")
@@ -146,10 +150,8 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
         if p.n != n:
             raise ValueError(f"dimension mismatch: patterns with n={n} and n={p.n}")
     _check_weight_budget(n, matrices=2)
-    w = np.zeros((n, n), dtype=np.int64)
-    for p in patterns:
-        cells = p.cells.astype(np.int64)
-        w += np.outer(cells, cells)
+    stack = np.stack([p.cells for p in patterns]).astype(np.float64)
+    w = (stack.T @ stack).astype(np.int64)
     w.setflags(write=False)
     return w
 
@@ -166,8 +168,7 @@ def threshold(activations: ActivationVector) -> Pattern:
     Zero falls to -1, which breaks negation symmetry of recall (not of the
     net input itself).
     """
-    cells = np.where(activations.a > 0, np.int8(1), np.int8(-1))
-    return Pattern(width=activations.width, height=activations.height, cells=cells)
+    return Pattern(width=activations.width, height=activations.height, cells=_bipolar(activations.a > 0))
 
 
 def recall(w: WeightMatrix, key: Pattern) -> Pattern:

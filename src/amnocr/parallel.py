@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationVector, WeightMatrix, _check_weights
+from .core import ActivationVector, WeightMatrix, _check_weight_budget, _check_weights
 from .patterns import Pattern
 
 __all__ = ["MAX_THREADS", "ExecPlan", "IndexAssignment", "partition_static", "par_train_pair", "par_net_input"]
@@ -138,9 +138,12 @@ def par_train_pair(
     """Parallel Hebbian update; bit-identical to :func:`amnocr.core.train_pair`.
 
     Parallelized over the row index: a worker updates only the weight rows in
-    its assigned ranges, so no two workers ever touch the same cell.
+    its assigned ranges, so no two workers ever touch the same cell. Their
+    blocks add up to one outer product, so the budget is ``train_pair``'s.
     """
-    out = _check_weights(w, input=input_pattern, target=target_pattern).copy()
+    w = _check_weights(w, input=input_pattern, target=target_pattern)
+    _check_weight_budget(w.shape[0], matrices=3)
+    out = w.copy()
     inp = input_pattern.cells.astype(np.int64)
     tgt = target_pattern.cells.astype(np.int64)
 

@@ -10,10 +10,10 @@ integers; W itself is built only on first access to ``model.weights``.
 
 The ``literal`` mode instead trains a fresh matrix on (key, target) per label
 and recalls with the same key. That net input is key·(keyᵀt) = (key·key)·t,
-and key·key = n for a bipolar key, so recall reproduces the target exactly and
-every score is 100.00; the mode is kept as executable documentation of that
-degeneracy. Recognition computes (key·key)·P for all k targets at once, again
-O(kn), and never allocates an n x n matrix.
+and key·key = n > 0 for a bipolar key, so recall reproduces the target exactly
+and every score is 100.00; the mode is kept as executable documentation of
+that degeneracy. Recognition reads the targets off the stack and does no
+arithmetic.
 
 Only the ``bench`` harness times the paper's dense serial and parallel
 kernels, on both modes: :func:`~amnocr.core.net_input` against
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ActivationVector, _check_weight_budget, match_score, net_input, threshold, train_pair, zero_weights
+from .core import ActivationVector, match_score, net_input, store_patterns, threshold, train_pair, zero_weights
 from .parallel import ExecPlan, par_net_input, par_train_pair
 from .patterns import LabeledPattern, Pattern
 
@@ -55,7 +55,7 @@ class RecognizerModel:
     ``_targets`` stacks the alphabet as a (k, n) array P. In superposed mode
     every query multiplies by it, so it is int32 when every product of recall
     fits int32 (max(k, 2) * n <= 2**31 - 1) and int64 otherwise; in literal
-    mode every query scales it by key·key, and it is int8.
+    mode recognition reads its rows as they are, and it is int8.
     Superposed recognition never needs the n x n matrix W = PᵀP; ``weights``
     builds it on first access, for the dense kernels.
     """
@@ -67,20 +67,10 @@ class RecognizerModel:
 
     @functools.cached_property
     def weights(self) -> np.ndarray | None:
-        """W = ``store_patterns`` of the entries, read-only; ``None`` in literal mode.
-
-        Built as PᵀP in float64, which is exact: every w[i, j] and every partial
-        sum is an integer of magnitude <= k, far below 2**53. The float64
-        product and its int64 copy are checked against ``MAX_WEIGHT_BYTES``
-        first.
-        """
+        """W = ``store_patterns`` of the entries, read-only; ``None`` in literal mode."""
         if self.mode != "superposed":
             return None
-        _check_weight_budget(self.n, matrices=2)
-        p = self._targets.astype(np.float64)
-        w = (p.T @ p).astype(np.int64)
-        w.setflags(write=False)
-        return w
+        return store_patterns([e.pattern for e in self.entries])
 
     @property
     def n(self) -> int:
@@ -199,15 +189,16 @@ def _ranked(model: RecognizerModel, agree: np.ndarray) -> tuple[str, dict[str, F
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
     """Rank ``key`` against every stored glyph; deterministic.
 
-    Both modes recall through a factored form on the calling thread, whatever
-    ``plan`` says: its O(kn) arithmetic takes less time than starting a worker
-    team. Superposed mode computes a = Pᵀ(P·key), which equals
+    Both modes recall on the calling thread, whatever ``plan`` says: at most
+    O(kn) arithmetic takes less time than starting a worker team. Superposed
+    mode computes a = Pᵀ(P·key), which equals
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
     stack's dtype (int32 within ``_INT32_MAX``, see :func:`build_model`); it
     never calls BLAS, which would start threads of its own. The winner is
-    picked from integer agreement counts. Literal mode computes
-    a = (key·key)·t for every stored target t, which equals training a fresh
-    matrix on (key, t) and recalling with the key. ``plan`` drives only the
+    picked from integer agreement counts. Literal mode does no arithmetic:
+    training a fresh matrix on (key, t) and recalling with the key gives the
+    net input (key·key)·t with key·key = n > 0, so it recalls every stored
+    target t itself, in the key's geometry. ``plan`` drives only the
     dense kernels that ``bench`` times: there it runs them on the
     data-parallel path, which is bit-identical to the serial one, so results
     never depend on thread count or chunk size.
@@ -220,8 +211,7 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     p = model._targets
     if model.mode == "superposed":
         if model._dense:
-            w = model.weights
-            recalled = threshold(par_net_input(w, key, plan) if plan else net_input(w, key))
+            recalled = _recall_dense(model.weights, key, plan)
         else:
             # Both operands in p's dtype: a mixed-dtype einsum casts through a buffer on every call.
             overlaps = np.einsum("kn,n->k", p, key.cells.astype(p.dtype))
@@ -234,14 +224,17 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
         predicted, scores = _ranked(model, agree)
         return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
 
-    # Literal mode: one row of net inputs per target, |a| <= key·key = n.
-    key64 = key.cells.astype(np.int64)
-    recalled_all = np.where(p.astype(np.int64) * (key64 @ key64) > 0, 1, -1).astype(np.int8)
-    predicted, scores = _ranked(model, np.count_nonzero(recalled_all == p, axis=1))
-    row = recalled_all[model.labels.index(predicted)]
+    # Literal mode: every label recalls its own target, so agrees in all n cells.
+    predicted, scores = _ranked(model, np.full(len(model.entries), model.n))
+    row = p[model.labels.index(predicted)]
     return RecognitionResult(
         predicted=predicted, scores=scores, recalled=Pattern(width=key.width, height=key.height, cells=row)
     )
+
+
+def _recall_dense(w: np.ndarray, key: Pattern, plan: ExecPlan | None) -> Pattern:
+    """Threshold ``key``'s net input on W, through the parallel kernel when there is a ``plan``."""
+    return threshold(par_net_input(w, key, plan) if plan else net_input(w, key))
 
 
 def _recognize_literal_dense(model: RecognizerModel, key: Pattern, plan: ExecPlan | None) -> RecognitionResult:
@@ -250,13 +243,10 @@ def _recognize_literal_dense(model: RecognizerModel, key: Pattern, plan: ExecPla
     recalled_by_label = {}
     zero = zero_weights(model.n)
     for e in model.entries:
-        if plan:
-            w = par_train_pair(zero, key, e.pattern, plan)
-            activations = par_net_input(w, key, plan)
-        else:
-            w = train_pair(zero, key, e.pattern)
-            activations = net_input(w, key)
-        out = threshold(activations)
+        # Passed on unnamed, each label's matrix is freed before the next one is trained.
+        out = _recall_dense(
+            par_train_pair(zero, key, e.pattern, plan) if plan else train_pair(zero, key, e.pattern), key, plan
+        )
         recalled_by_label[e.label] = out
         scores[e.label] = match_score(out, e.pattern)
     predicted = _argmax_label(scores)

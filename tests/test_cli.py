@@ -190,10 +190,11 @@ def test_bench_writes_reports_and_summary(tmp_path, capsys):
     assert "mean_speedup" in stdout
 
 
-@pytest.mark.parametrize("mode, budget", [("superposed", 255), ("literal", 127)])
+@pytest.mark.parametrize("mode, budget", [("superposed", 255), ("literal", 127), ("literal", 383)])
 def test_bench_over_the_weight_budget_exits_1(tmp_path, capsys, monkeypatch, mode, budget):
     # n=4: superposed bench builds W through a float64 product (256 bytes),
-    # literal bench starts from zero_weights (128 bytes).
+    # literal bench starts from zero_weights (128 bytes), then each train_pair
+    # holds its argument, a copy and an outer product (384 bytes).
     manifest, _, rows = _write_store(tmp_path, order=4)
     monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", budget)
     argv = ["bench", "--store", str(manifest), "--keys", str(manifest), "--mode", mode, "--runs", "1"]

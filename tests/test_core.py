@@ -16,10 +16,12 @@ import amnocr.core
 import oracles
 from amnocr import (
     ActivationVector,
+    ExecPlan,
     MemoryBudgetError,
     format_pct,
     match_score,
     net_input,
+    par_train_pair,
     recall,
     store_patterns,
     threshold,
@@ -48,11 +50,23 @@ def test_weight_budget_is_checked_before_allocating(monkeypatch):
     assert zero_weights(4).shape == (4, 4)
     with pytest.raises(MemoryBudgetError, match=r"n=5 needs 200 bytes .* budget of 128 bytes"):
         zero_weights(5)
-    # store_patterns holds W and one outer product at once.
+    # store_patterns holds the float64 product and its int64 copy at once.
     with pytest.raises(MemoryBudgetError, match=r"n=4 needs 256 bytes .* budget of 128 bytes"):
         store_patterns([A, B])
     monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 256)
     assert store_patterns([A, B]).tolist() == STORE_AB
+
+
+def test_train_pair_checks_the_weight_budget(monkeypatch):
+    # The argument, its copy and one outer product: 3 * 8 * n * n bytes.
+    w = zero_weights(4)
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 383)
+    with pytest.raises(MemoryBudgetError, match=r"n=4 needs 384 bytes .* budget of 383 bytes"):
+        train_pair(w, A, B)
+    with pytest.raises(MemoryBudgetError, match=r"n=4 needs 384 bytes .* budget of 383 bytes"):
+        par_train_pair(w, A, B, ExecPlan(threads=2))
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 384)
+    assert np.array_equal(par_train_pair(w, A, B, ExecPlan(threads=2)), train_pair(w, A, B))
 
 
 def test_zero_weights_rejects_nonpositive():
@@ -99,10 +113,11 @@ def test_store_frozen_matrix():
     assert oracles.store([[1, -1, 1, -1], [1, 1, -1, -1]]) == STORE_AB
 
 
-def test_store_equals_fold():
+@pytest.mark.parametrize("k, n", [(5, 9), (9, 3), (1, 1), (1, 64)])
+def test_store_equals_fold(k, n):
     rng = np.random.default_rng(11)
-    pats = [random_pattern(rng, 9) for _ in range(5)]
-    folded = zero_weights(9)
+    pats = [random_pattern(rng, n) for _ in range(k)]
+    folded = zero_weights(n)
     for p in pats:
         folded = train_pair(folded, p, p)
     assert np.array_equal(store_patterns(pats), folded)

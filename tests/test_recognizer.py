@@ -1,6 +1,7 @@
 """Alphabet model construction and ranked recognition."""
 
 import importlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -390,3 +391,20 @@ def test_factored_literal_keeps_the_key_geometry():
     result = recognize(model, key)
     assert (result.recalled.width, result.recalled.height) == (2, 2)
     assert result.same_outcome(recognize(_dense_view(model), key))
+
+
+@pytest.mark.parametrize("plan", [None, ExecPlan(threads=2)])
+def test_literal_dense_recognition_holds_three_matrices(plan):
+    # Each label's matrix is freed before the next is trained, so the zero
+    # matrix, train_pair's copy and one outer product are the most held at once.
+    rng = np.random.default_rng(90)
+    n = 40 * 40
+    model = build_model(labeled([random_pattern(rng, n, 40, 40) for _ in range(3)]), mode="literal")
+    key = random_pattern(rng, n, 40, 40)
+    tracemalloc.start()
+    try:
+        recognize(_dense_view(model), key, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n * n
