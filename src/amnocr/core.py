@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MemoryBudgetError
-from .patterns import Pattern, _bipolar
+from .patterns import Pattern, _from_mask
 
 __all__ = [
     "MAX_WEIGHT_BYTES",
@@ -43,15 +43,24 @@ WeightMatrix = np.ndarray
 # which should end in a typed error, not in an allocation failure.
 MAX_WEIGHT_BYTES = 1 << 30
 
+# float32 holds every integer of magnitude up to here exactly. A float32
+# product of +-1 operands is exact when every partial sum is an integer within
+# this bound, in whatever order the terms are added.
+_FLOAT32_EXACT = 1 << 24
+
+
+def _check_budget(who: str, needed: int, what: str) -> None:
+    """Raise :class:`MemoryBudgetError` naming ``who`` unless ``needed`` bytes fit ``MAX_WEIGHT_BYTES``."""
+    if needed > MAX_WEIGHT_BYTES:
+        raise MemoryBudgetError(
+            f"{who} needs {needed} bytes for {what}, "
+            f"over the budget of {MAX_WEIGHT_BYTES} bytes (MAX_WEIGHT_BYTES)"
+        )
+
 
 def _check_weight_budget(n: int, matrices: int = 1) -> None:
     """Raise :class:`MemoryBudgetError` unless ``matrices`` n x n 8-byte matrices fit ``MAX_WEIGHT_BYTES``."""
-    needed = matrices * 8 * n * n
-    if needed > MAX_WEIGHT_BYTES:
-        raise MemoryBudgetError(
-            f"n={n} needs {needed} bytes for dense n x n weights, "
-            f"over the budget of {MAX_WEIGHT_BYTES} bytes (MAX_WEIGHT_BYTES)"
-        )
+    _check_budget(f"n={n}", matrices * 8 * n * n, "dense n x n weights")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +148,10 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
     """W = PᵀP, where P is the k x n stack of the patterns.
 
     Equals folding :func:`train_pair` with input == target over the list.
-    The product runs in float64, which is exact: every partial sum is an
-    integer of magnitude at most k, far below 2**53. The float64 product and
-    its int64 copy are checked against ``MAX_WEIGHT_BYTES`` first.
+    The product runs in float32 when k <= 2**24 and in float64 otherwise;
+    both are exact, because every partial sum is an integer of magnitude at
+    most k. Two n x n 8-byte matrices, the product and its int64 copy, are
+    checked against ``MAX_WEIGHT_BYTES`` first.
     """
     if not patterns:
         raise ValueError("cannot store an empty pattern list")
@@ -150,7 +160,8 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
         if p.n != n:
             raise ValueError(f"dimension mismatch: patterns with n={n} and n={p.n}")
     _check_weight_budget(n, matrices=2)
-    stack = np.stack([p.cells for p in patterns]).astype(np.float64)
+    dtype = np.float32 if len(patterns) <= _FLOAT32_EXACT else np.float64
+    stack = np.stack([p.cells for p in patterns]).astype(dtype)
     w = (stack.T @ stack).astype(np.int64)
     w.setflags(write=False)
     return w
@@ -166,9 +177,10 @@ def threshold(activations: ActivationVector) -> Pattern:
     """Strict signed threshold: +1 where the net input is > 0, else -1.
 
     Zero falls to -1, which breaks negation symmetry of recall (not of the
-    net input itself).
+    net input itself). The cells are made +-1 from the mask a > 0, so the
+    pattern skips the cell scan and copy of ``Pattern(...)``.
     """
-    return Pattern(width=activations.width, height=activations.height, cells=_bipolar(activations.a > 0))
+    return _from_mask(activations.width, activations.height, activations.a > 0)
 
 
 def recall(w: WeightMatrix, key: Pattern) -> Pattern:

@@ -44,14 +44,8 @@ class Pattern:
     cells: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"pattern dimensions must be >= 1, got {self.width}x{self.height}")
         cells = np.asarray(self.cells)
-        if cells.ndim != 1 or cells.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} cells for a "
-                f"{self.width}x{self.height} pattern, got {cells.size}"
-            )
+        _check_geometry(self.width, self.height, cells)
         # Checked before narrowing, which would wrap 255 to -1, cut 1.5 to 1 and 1j (|1j| = 1) to 0.
         if cells.dtype.kind == "c" or not np.all(np.abs(cells) == 1):
             raise ValueError("pattern cells must all be +1 or -1")
@@ -114,15 +108,35 @@ def pixels_to_pattern(grid: PixelGrid, policy: BinarizePolicy | None = None) -> 
     policy = policy or BinarizePolicy()
     dark = grid.values < policy.threshold
     foreground = dark if policy.foreground_is_dark else ~dark
-    return Pattern(width=grid.width, height=grid.height, cells=_bipolar(foreground))
+    return _from_mask(grid.width, grid.height, foreground)
 
 
-def _bipolar(mask: np.ndarray) -> np.ndarray:
-    """int8 cells: +1 where ``mask`` is true, -1 elsewhere."""
+def _check_geometry(width: int, height: int, cells: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``cells`` is one row-major vector for a ``width`` x ``height`` pattern."""
+    if width < 1 or height < 1:
+        raise ValueError(f"pattern dimensions must be >= 1, got {width}x{height}")
+    if cells.ndim != 1 or cells.size != width * height:
+        raise ValueError(f"expected {width * height} cells for a {width}x{height} pattern, got {cells.size}")
+
+
+def _from_mask(width: int, height: int, mask: np.ndarray) -> Pattern:
+    """The pattern with +1 where ``mask`` is true and -1 elsewhere.
+
+    Checks the geometry as :class:`Pattern` does, but not the cells: they are
+    made here, fresh and +-1 by construction, so they are neither scanned
+    nor copied again.
+    """
+    _check_geometry(width, height, mask)
     cells = mask.astype(np.int8)
     cells *= 2
     cells -= 1
-    return cells
+    cells.setflags(write=False)
+    pattern = object.__new__(Pattern)  # skips __post_init__
+    # Set as the frozen dataclass sets its fields; reading __dict__ would give each pattern its own dict.
+    object.__setattr__(pattern, "width", width)
+    object.__setattr__(pattern, "height", height)
+    object.__setattr__(pattern, "cells", cells)
+    return pattern
 
 
 def write_pattern_text(pattern: Pattern, label: str) -> str:
@@ -192,7 +206,7 @@ def read_pattern_text(text: str) -> tuple[Pattern, str]:
     tokens = codes[0::2]
     if codes.size != 2 * width * height - 1 or not np.all((tokens == _ONE) | (tokens == _MINUS_ONE)):
         _raise_first_bad_token(text.splitlines()[1 : height + 1])
-    return Pattern(width=width, height=height, cells=_bipolar(tokens == _ONE)), label
+    return _from_mask(width, height, tokens == _ONE), label
 
 
 def _raise_first_bad_token(rows: list[str]) -> None:

@@ -32,7 +32,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ActivationVector, match_score, net_input, store_patterns, threshold, train_pair, zero_weights
+from .core import (
+    _FLOAT32_EXACT,
+    ActivationVector,
+    _check_budget,
+    match_score,
+    net_input,
+    store_patterns,
+    threshold,
+    train_pair,
+    zero_weights,
+)
 from .parallel import ExecPlan, par_net_input, par_train_pair
 from .patterns import LabeledPattern, Pattern
 
@@ -42,10 +52,10 @@ MODES = ("superposed", "literal")
 
 # Superposed recall sums k terms of magnitude <= n, so |a[j]| <= k * n must fit int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# The stack is int32, and so is every product on it, when the widest of them
-# fits: overlaps |P·key| <= n, activations |a| <= k * n, and the agreement
-# sum n + P·r <= 2 * n. That is max(k, 2) * n <= this bound; otherwise int64.
-_INT32_MAX = int(np.iinfo(np.int32).max)
+# The stack is float32, and so is every product on it, when every partial sum
+# of the widest of them is an integer float32 holds exactly: overlaps
+# |P·key| <= n, activations |a| <= k * n, and the agreement sum n + P·r <= 2 * n.
+# That is max(k, 2) * n <= _FLOAT32_EXACT (2**24); otherwise the stack is int64.
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +63,9 @@ class RecognizerModel:
     """Immutable trained alphabet store; safe for concurrent recognition.
 
     ``_targets`` stacks the alphabet as a (k, n) array P. In superposed mode
-    every query multiplies by it, so it is int32 when every product of recall
-    fits int32 (max(k, 2) * n <= 2**31 - 1) and int64 otherwise; in literal
-    mode recognition reads its rows as they are, and it is int8.
+    every query multiplies by it, so it is float32 when every product of
+    recall is exact in float32 (max(k, 2) * n <= 2**24) and int64 otherwise;
+    in literal mode recognition reads its rows as they are, and it is int8.
     Superposed recognition never needs the n x n matrix W = PᵀP; ``weights``
     builds it on first access, for the dense kernels.
     """
@@ -132,9 +142,10 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
 
     Superposed mode keeps the alphabet as a stack for factored recall and
     checks that its net inputs, bounded by k * n, fit int64. The stack is
-    int32 when every product of recall fits int32 (see ``_INT32_MAX``) and
-    int64 otherwise. Literal mode keeps it as int8, since its net inputs are
-    bounded by n.
+    float32 when every product of recall is exact in float32 (max(k, 2) * n
+    <= 2**24) and int64 otherwise; the int8 stack and that copy, k * n * (1 +
+    itemsize) bytes, are checked against ``MAX_WEIGHT_BYTES`` first. Literal
+    mode keeps the stack as int8, since its net inputs are bounded by n.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -149,11 +160,14 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
         if e.label in seen:
             raise ValueError(f"duplicate label {e.label!r}")
         seen.add(e.label)
-    targets = np.stack([e.pattern.cells for e in entries])
+    k = len(entries)
+    dtype = np.dtype(np.int8)
     if mode == "superposed":
-        if len(entries) * n > _INT64_MAX:
-            raise ValueError(f"{len(entries)} patterns of n={n} could overflow int64 recall (|a| <= k*n)")
-        targets = targets.astype(np.int32 if max(len(entries), 2) * n <= _INT32_MAX else np.int64)
+        if k * n > _INT64_MAX:
+            raise ValueError(f"{k} patterns of n={n} could overflow int64 recall (|a| <= k*n)")
+        dtype = np.dtype(np.float32 if max(k, 2) * n <= _FLOAT32_EXACT else np.int64)
+        _check_budget(f"k={k}, n={n}", k * n * (1 + dtype.itemsize), "the int8 recall stack and its copy")
+    targets = np.stack([e.pattern.cells for e in entries]).astype(dtype, copy=False)
     targets.setflags(write=False)
     return RecognizerModel(entries=entries, mode=mode, _targets=targets)
 
@@ -178,12 +192,13 @@ def _ranked(model: RecognizerModel, agree: np.ndarray) -> tuple[str, dict[str, F
     """``(predicted, scores)`` from per-label agreeing cell counts, as ``match_score`` scores them.
 
     The percentage 100 * count / n rises with the count, so the winner is
-    read from the integer counts; the ``Fraction``s are built only for the
-    scores.
+    read from the integer counts. One ``Fraction`` is built per distinct
+    count and shared by the labels that have it; ``Fraction``s are immutable.
     """
     n = model.n
     counts = dict(zip(model.labels, agree.tolist()))
-    return _argmax_label(counts), {label: Fraction(100 * c, n) for label, c in counts.items()}
+    pct = {c: Fraction(100 * c, n) for c in set(counts.values())}
+    return _argmax_label(counts), {label: pct[c] for label, c in counts.items()}
 
 
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
@@ -193,8 +208,8 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     O(kn) arithmetic takes less time than starting a worker team. Superposed
     mode computes a = Pᵀ(P·key), which equals
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
-    stack's dtype (int32 within ``_INT32_MAX``, see :func:`build_model`); it
-    never calls BLAS, which would start threads of its own. The winner is
+    stack's dtype (float32 within its 2**24 bound, see :func:`build_model`);
+    it never calls BLAS, which would start threads of its own. The winner is
     picked from integer agreement counts. Literal mode does no arithmetic:
     training a fresh matrix on (key, t) and recalling with the key gives the
     net input (key·key)·t with key·key = n > 0, so it recalls every stored
@@ -219,8 +234,8 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
                 ActivationVector(width=key.width, height=key.height, a=np.einsum("k,kn->n", overlaps, p))
             )
         # Bipolar cells agree in (n + p·r) / 2 positions, so this equals
-        # match_score(recalled, target) per label, in exact integers.
-        agree = (model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2
+        # match_score(recalled, target) per label, in exact integers; int64, as Fraction takes no floats.
+        agree = ((model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2).astype(np.int64)
         predicted, scores = _ranked(model, agree)
         return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
 

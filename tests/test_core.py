@@ -123,6 +123,18 @@ def test_store_equals_fold(k, n):
     assert np.array_equal(store_patterns(pats), folded)
 
 
+@pytest.mark.parametrize("k, n", [(5, 9), (9, 3), (1, 1), (1, 64)])
+def test_store_is_the_same_in_float32_and_float64(monkeypatch, k, n):
+    # The stores of test_store_equals_fold; a bound below k forces the float64 product.
+    rng = np.random.default_rng(11)
+    pats = [random_pattern(rng, n) for _ in range(k)]
+    in_float32 = store_patterns(pats)
+    monkeypatch.setattr(amnocr.core, "_FLOAT32_EXACT", k - 1)
+    in_float64 = store_patterns(pats)
+    assert in_float32.dtype == in_float64.dtype == np.int64
+    assert np.array_equal(in_float32, in_float64)
+
+
 @pytest.mark.parametrize("order", list(permutations(range(3))))
 def test_store_order_independent(order):
     rng = np.random.default_rng(3)

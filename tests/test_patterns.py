@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from amnocr import (
+    ActivationVector,
     BinarizePolicy,
     ManifestError,
     Pattern,
@@ -16,8 +17,10 @@ from amnocr import (
     load_pattern_file,
     pixels_to_pattern,
     read_pattern_text,
+    threshold,
     write_pattern_text,
 )
+from amnocr.patterns import _from_mask
 from bmpbytes import glyph_index_rows, make_bmp
 from helpers import bipolar, random_pattern
 
@@ -31,6 +34,7 @@ def test_pattern_validation():
         Pattern(0, 3, [])
     # Not +-1, though a cast to int8 would turn 257, 255 and 1.5 into +-1 and [255] into an OverflowError.
     not_bipolar = (np.array([257]), np.array([255]), np.array([1.5]), np.array([-1.0, 1.5]), np.array([1j]))
+    not_bipolar += (np.array([1, 0, -1]), np.array([1, 2, -1]))
     for cells in (*not_bipolar, [255], [-129]):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             Pattern(1, len(cells), cells)
@@ -40,6 +44,37 @@ def test_pattern_cells_are_read_only():
     p = bipolar([1, -1])
     with pytest.raises(ValueError):
         p.cells[0] = -1
+
+
+def test_from_mask_checks_the_geometry():
+    with pytest.raises(ValueError, match="expected 4 cells for a 2x2 pattern, got 3"):
+        _from_mask(2, 2, np.array([True, False, True]))
+    with pytest.raises(ValueError, match=">= 1"):
+        _from_mask(0, 3, np.zeros(0, dtype=bool))
+
+
+def test_from_mask_equals_pattern_and_is_read_only():
+    mask = np.array([True, False, False, True, True, False])
+    p = _from_mask(3, 2, mask)
+    assert p.cells.dtype == np.int8
+    assert not p.cells.flags.writeable
+    assert p == Pattern(3, 2, np.where(mask, 1, -1))
+    assert (p.width, p.height, p.n) == (3, 2, 6)
+
+
+def test_patterns_built_from_masks_are_read_only():
+    # Binarizing, parsing and thresholding all build their cells from a mask.
+    text = write_pattern_text(bipolar([1, -1, -1, 1], 2, 2), "x")
+    built = (
+        pixels_to_pattern(PixelGrid(2, 2, [0, 255, 255, 0])),
+        read_pattern_text(text)[0],
+        threshold(ActivationVector(2, 2, np.array([3, 0, -1, 5]))),
+    )
+    for p in built:
+        assert p == bipolar([1, -1, -1, 1], 2, 2)
+        assert p.cells.dtype == np.int8
+        with pytest.raises(ValueError):
+            p.cells[0] = -1
 
 
 # --- binarization ---
