@@ -46,7 +46,7 @@ from .errors import (
     ParallelDivergenceError,
     PatternFormatError,
 )
-from .parallel import ExecPlan, IndexAssignment, par_net_input, par_train_pair, partition_static
+from .parallel import ExecPlan, par_net_input, par_train_pair, partition_static
 from .patterns import (
     BinarizePolicy,
     LabeledPattern,
@@ -59,7 +59,6 @@ from .patterns import (
     write_pattern_text,
 )
 from .recognize import (
-    MODES,
     RecognitionResult,
     RecognizerModel,
     build_model,
@@ -80,10 +79,8 @@ __all__ = [
     "BmpPaletteError",
     "BmpTruncatedError",
     "ExecPlan",
-    "IndexAssignment",
     "InvariantError",
     "LabeledPattern",
-    "MODES",
     "ManifestError",
     "MemoryBudgetError",
     "ParallelDivergenceError",

@@ -43,10 +43,23 @@ WeightMatrix = np.ndarray
 # which should end in a typed error, not in an allocation failure.
 MAX_WEIGHT_BYTES = 1 << 30
 
-# float32 holds every integer of magnitude up to here exactly. A float32
-# product of +-1 operands is exact when every partial sum is an integer within
-# this bound, in whatever order the terms are added.
+# float32 holds every integer of magnitude up to here exactly (see _exact_float).
 _FLOAT32_EXACT = 1 << 24
+
+
+def _exact_float(bound: int) -> np.dtype:
+    """float32 when ``bound`` <= 2**24 (``_FLOAT32_EXACT``), float64 otherwise.
+
+    ``bound`` caps the magnitude of every partial sum of a product of +-1
+    operands. Each such sum is an integer, so the product is exact in either
+    width, in whatever order the terms are added: float32 holds every integer
+    up to 2**24 and float64 every integer up to 2**53. So float64 is exact
+    for every store the budget admits: recognition's int8 k x n stack and
+    its float64 copy take k * n * (1 + 8) bytes, ``MAX_WEIGHT_BYTES`` (2**30)
+    caps k * n at 119,304,647, and no product on the stack sums past
+    max(k, 2) * n <= 2 * k * n < 2**53.
+    """
+    return np.dtype(np.float32 if bound <= _FLOAT32_EXACT else np.float64)
 
 
 def _check_budget(who: str, needed: int, what: str) -> None:
@@ -148,10 +161,10 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
     """W = PᵀP, where P is the k x n stack of the patterns.
 
     Equals folding :func:`train_pair` with input == target over the list.
-    The product runs in float32 when k <= 2**24 and in float64 otherwise;
-    both are exact, because every partial sum is an integer of magnitude at
-    most k. Two n x n 8-byte matrices, the product and its int64 copy, are
-    checked against ``MAX_WEIGHT_BYTES`` first.
+    The product runs in ``_exact_float(k)``, float32 when k <= 2**24 and
+    float64 otherwise; both are exact, because every partial sum is an
+    integer of magnitude at most k. Two n x n 8-byte matrices, the product
+    and its int64 copy, are checked against ``MAX_WEIGHT_BYTES`` first.
     """
     if not patterns:
         raise ValueError("cannot store an empty pattern list")
@@ -160,8 +173,7 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
         if p.n != n:
             raise ValueError(f"dimension mismatch: patterns with n={n} and n={p.n}")
     _check_weight_budget(n, matrices=2)
-    dtype = np.float32 if len(patterns) <= _FLOAT32_EXACT else np.float64
-    stack = np.stack([p.cells for p in patterns]).astype(dtype)
+    stack = np.stack([p.cells for p in patterns]).astype(_exact_float(len(patterns)))
     w = (stack.T @ stack).astype(np.int64)
     w.setflags(write=False)
     return w

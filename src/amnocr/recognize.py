@@ -12,8 +12,8 @@ The ``literal`` mode instead trains a fresh matrix on (key, target) per label
 and recalls with the same key. That net input is key·(keyᵀt) = (key·key)·t,
 and key·key = n > 0 for a bipolar key, so recall reproduces the target exactly
 and every score is 100.00; the mode is kept as executable documentation of
-that degeneracy. Recognition reads the targets off the stack and does no
-arithmetic.
+that degeneracy. Recognition reads the targets off the entries and does
+no arithmetic.
 
 Only the ``bench`` harness times the paper's dense serial and parallel
 kernels, on both modes: :func:`~amnocr.core.net_input` against
@@ -33,9 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    _FLOAT32_EXACT,
     ActivationVector,
     _check_budget,
+    _exact_float,
     match_score,
     net_input,
     store_patterns,
@@ -50,29 +50,23 @@ __all__ = ["MODES", "RecognizerModel", "RecognitionResult", "build_model", "reco
 
 MODES = ("superposed", "literal")
 
-# Superposed recall sums k terms of magnitude <= n, so |a[j]| <= k * n must fit int64.
-_INT64_MAX = int(np.iinfo(np.int64).max)
-# The stack is float32, and so is every product on it, when every partial sum
-# of the widest of them is an integer float32 holds exactly: overlaps
-# |P·key| <= n, activations |a| <= k * n, and the agreement sum n + P·r <= 2 * n.
-# That is max(k, 2) * n <= _FLOAT32_EXACT (2**24); otherwise the stack is int64.
-
 
 @dataclass(frozen=True, eq=False)
 class RecognizerModel:
     """Immutable trained alphabet store; safe for concurrent recognition.
 
-    ``_targets`` stacks the alphabet as a (k, n) array P. In superposed mode
-    every query multiplies by it, so it is float32 when every product of
-    recall is exact in float32 (max(k, 2) * n <= 2**24) and int64 otherwise;
-    in literal mode recognition reads its rows as they are, and it is int8.
-    Superposed recognition never needs the n x n matrix W = PᵀP; ``weights``
-    builds it on first access, for the dense kernels.
+    In superposed mode ``_targets`` stacks the alphabet as a (k, n) array P
+    that every query multiplies by: float32 when every product of recall is
+    exact in float32 (max(k, 2) * n <= 2**24), float64 otherwise (see
+    ``core._exact_float``). Literal mode keeps no stack, as recognition reads
+    the targets off ``entries``, and ``_targets`` is ``None``. Superposed
+    recognition never needs the n x n matrix W = PᵀP; ``weights`` builds it
+    on first access, for the dense kernels.
     """
 
     entries: tuple[LabeledPattern, ...]
     mode: str
-    _targets: np.ndarray = field(repr=False)
+    _targets: np.ndarray | None = field(repr=False)
     _dense: bool = field(default=False, repr=False)  # recall through W (see _dense_view)
 
     @functools.cached_property
@@ -140,12 +134,13 @@ class RecognitionResult:
 def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     """Validate the alphabet and precompute what the mode needs.
 
-    Superposed mode keeps the alphabet as a stack for factored recall and
-    checks that its net inputs, bounded by k * n, fit int64. The stack is
-    float32 when every product of recall is exact in float32 (max(k, 2) * n
-    <= 2**24) and int64 otherwise; the int8 stack and that copy, k * n * (1 +
-    itemsize) bytes, are checked against ``MAX_WEIGHT_BYTES`` first. Literal
-    mode keeps the stack as int8, since its net inputs are bounded by n.
+    Superposed mode keeps the alphabet as a stack for factored recall, in
+    ``core._exact_float(max(k, 2) * n)``: every partial sum of recall, the
+    overlaps |P·key| <= n, the net inputs |a| <= k * n and the agreement sums
+    n + P·r <= 2 * n, is an integer within that bound, so the stack is
+    float32 up to 2**24 and float64, exact for every store the budget admits,
+    beyond. The int8 stack and that copy, k * n * (1 + itemsize) bytes, are
+    checked against ``MAX_WEIGHT_BYTES`` first. Literal mode keeps no stack.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -161,14 +156,12 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
             raise ValueError(f"duplicate label {e.label!r}")
         seen.add(e.label)
     k = len(entries)
-    dtype = np.dtype(np.int8)
+    targets = None
     if mode == "superposed":
-        if k * n > _INT64_MAX:
-            raise ValueError(f"{k} patterns of n={n} could overflow int64 recall (|a| <= k*n)")
-        dtype = np.dtype(np.float32 if max(k, 2) * n <= _FLOAT32_EXACT else np.int64)
+        dtype = _exact_float(max(k, 2) * n)
         _check_budget(f"k={k}, n={n}", k * n * (1 + dtype.itemsize), "the int8 recall stack and its copy")
-    targets = np.stack([e.pattern.cells for e in entries]).astype(dtype, copy=False)
-    targets.setflags(write=False)
+        targets = np.stack([e.pattern.cells for e in entries]).astype(dtype)
+        targets.setflags(write=False)
     return RecognizerModel(entries=entries, mode=mode, _targets=targets)
 
 
@@ -208,23 +201,24 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     O(kn) arithmetic takes less time than starting a worker team. Superposed
     mode computes a = Pᵀ(P·key), which equals
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
-    stack's dtype (float32 within its 2**24 bound, see :func:`build_model`);
-    it never calls BLAS, which would start threads of its own. The winner is
-    picked from integer agreement counts. Literal mode does no arithmetic:
-    training a fresh matrix on (key, t) and recalling with the key gives the
-    net input (key·key)·t with key·key = n > 0, so it recalls every stored
-    target t itself, in the key's geometry. ``plan`` drives only the
-    dense kernels that ``bench`` times: there it runs them on the
-    data-parallel path, which is bit-identical to the serial one, so results
-    never depend on thread count or chunk size.
+    stack's dtype (float32 within its 2**24 bound and float64 beyond it, see
+    :func:`build_model`); it never calls BLAS, which would start threads of
+    its own. The winner is picked from integer agreement counts. Literal
+    mode does no arithmetic: training a fresh matrix on (key, t) and
+    recalling with the key gives the net input (key·key)·t with key·key =
+    n > 0, so it recalls every stored target t itself, read off
+    ``model.entries`` in the key's geometry. ``plan`` drives only the dense
+    kernels that ``bench`` times: there it runs them on the data-parallel
+    path, which is bit-identical to the serial one, so results never depend
+    on thread count or chunk size.
     """
     if key.n != model.n:
         raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
     if model._dense and model.mode == "literal":
         return _recognize_literal_dense(model, key, plan)
 
-    p = model._targets
     if model.mode == "superposed":
+        p = model._targets
         if model._dense:
             recalled = _recall_dense(model.weights, key, plan)
         else:
@@ -241,9 +235,9 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
 
     # Literal mode: every label recalls its own target, so agrees in all n cells.
     predicted, scores = _ranked(model, np.full(len(model.entries), model.n))
-    row = p[model.labels.index(predicted)]
+    cells = model.entries[model.labels.index(predicted)].pattern.cells
     return RecognitionResult(
-        predicted=predicted, scores=scores, recalled=Pattern(width=key.width, height=key.height, cells=row)
+        predicted=predicted, scores=scores, recalled=Pattern(width=key.width, height=key.height, cells=cells)
     )
 
 

@@ -57,3 +57,36 @@ def physical_cores():
     except OSError:
         pass
     return os.cpu_count() or 1
+
+
+def steal_share(timed):
+    """Run ``timed()``; return its result and the share of CPU ticks the hypervisor stole meanwhile.
+
+    The share is the growth of ``steal`` over the growth of all ticks on
+    /proc/stat's ``cpu`` line (user through steal; guest time is already in
+    user), or ``None`` where that line or its ``steal`` field is absent.
+    """
+
+    def ticks():
+        try:
+            with open("/proc/stat") as fh:
+                for line in fh:
+                    fields = line.split()
+                    if fields[:1] == ["cpu"] and len(fields) > 8:
+                        return [int(v) for v in fields[1:9]]
+        except (OSError, ValueError):
+            pass
+        return None
+
+    before = ticks()
+    result = timed()
+    after = ticks()
+    if before is None or after is None:
+        return result, None
+    total = sum(after) - sum(before)
+    return result, (after[7] - before[7]) / total if total > 0 else 0.0
+
+
+def steal_text(share):
+    """``share`` from :func:`steal_share` as a verdict fragment."""
+    return "steal unknown" if share is None else f"steal {share:.1%} of ticks"

@@ -135,6 +135,18 @@ def test_store_is_the_same_in_float32_and_float64(monkeypatch, k, n):
     assert np.array_equal(in_float32, in_float64)
 
 
+def test_exact_float_switches_width_past_two_to_the_24():
+    # Only the bound is passed, so no store near 2**24 cells is built.
+    assert amnocr.core._exact_float(1 << 24) == np.float32
+    assert amnocr.core._exact_float((1 << 24) + 1) == np.float64
+
+
+def test_float64_is_exact_for_every_stack_the_budget_admits():
+    # The int8 stack and its float64 copy take 9 bytes a cell, so k * n <= MAX_WEIGHT_BYTES // 9,
+    # and float64 holds every integer up to 2**53; recall sums no more than 2 * k * n.
+    assert 2 * (amnocr.core.MAX_WEIGHT_BYTES // 9) < 2**53
+
+
 @pytest.mark.parametrize("order", list(permutations(range(3))))
 def test_store_order_independent(order):
     rng = np.random.default_rng(3)

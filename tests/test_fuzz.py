@@ -7,12 +7,16 @@ are reached. Each must return a valid result or raise its own
 ``IndexError``, ``MemoryError`` or any other exception. The BMP and AMNPAT
 properties are also differential: the package's whole-array codecs must return
 what the per-pixel and per-token loops in ``oracles`` return, or raise the
-same error class with the same message. The runs are derandomized, so a
-failure reproduces on every run.
+same error class with the same message. The CLI is run on small stores
+under a ``MAX_WEIGHT_BYTES`` drawn around each command's need, and must exit
+1 with the budget message exactly when a check is over it. The runs are
+derandomized, so a failure reproduces on every run.
 """
 
+import io
 import struct
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amnocr.core
 import oracles
 from amnocr import (
     BmpError,
@@ -30,8 +35,9 @@ from amnocr import (
     read_pattern_text,
     write_pattern_text,
 )
+from amnocr.cli import main
 from bmpbytes import glyph_index_rows, make_bmp
-from helpers import random_pattern
+from helpers import hadamard_rows, random_pattern
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -269,3 +275,61 @@ def test_load_manifest_arbitrary_bytes(entry_dir, data):
 @given(manifest_texts())
 def test_load_manifest_near_format(entry_dir, text):
     _check_manifest(entry_dir, text.encode("utf-8", "surrogatepass"))
+
+
+# --- the CLI against the memory budget ---
+
+CLI_RUNS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _budget_needs(command, mode, k, n):
+    """The bytes each budget check of ``command`` asks for, in the order they are made.
+
+    A superposed model checks its int8 stack and float32 copy (5 * k * n);
+    superposed ``bench`` then builds W (a float product and its int64 copy,
+    16 * n * n). Literal ``bench`` starts from ``zero_weights`` (8 * n * n),
+    and each ``train_pair`` holds three n x n matrices (24 * n * n). Literal
+    ``recognize`` and ``noise-sweep`` check nothing.
+    """
+    if mode == "literal":
+        return [8 * n * n, 24 * n * n] if command == "bench" else []
+    return [5 * k * n, 16 * n * n] if command == "bench" else [5 * k * n]
+
+
+@CLI_RUNS
+@given(
+    st.sampled_from([2, 4, 8, 16]),
+    st.sampled_from(["recognize", "noise-sweep", "bench"]),
+    st.sampled_from(["superposed", "literal"]),
+    st.data(),
+)
+def test_cli_exits_1_exactly_when_over_the_budget(order, command, mode, data):
+    k = data.draw(st.integers(1, order), label="k")
+    n = order
+    needs = _budget_needs(command, mode, k, n)
+    budget = max(0, data.draw(st.sampled_from(needs or [5 * k * n]), label="need") + data.draw(st.integers(-2, 2)))
+    with tempfile.TemporaryDirectory() as raw:
+        root = Path(raw)
+        lines = ["label,path"]
+        for i, pattern in enumerate(hadamard_rows(order)[:k]):
+            label = chr(ord("a") + i)
+            (root / f"{label}.amnpat").write_text(write_pattern_text(pattern, label), encoding="utf-8")
+            lines.append(f"{label},{label}.amnpat")
+        store = root / "store.csv"
+        store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--store", str(store), "--mode", mode]
+        argv += {
+            "recognize": ["--key", str(root / "a.amnpat")],
+            "noise-sweep": ["--rates", "0,0.25", "--seed", "1", "--out", str(root / "sweep.csv")],
+            "bench": ["--keys", str(store), "--runs", "1", "--out", str(root / "out")],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+            mp.setattr(amnocr.core, "MAX_WEIGHT_BYTES", budget)
+            code = main(argv)
+    over = [need for need in needs if need > budget]
+    assert code == (1 if over else 0), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if over:
+        assert f"needs {over[0]} bytes" in err.getvalue()
+        assert f"budget of {budget} bytes" in err.getvalue()

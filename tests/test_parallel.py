@@ -17,7 +17,7 @@ from amnocr import (
     zero_weights,
 )
 from amnocr.parallel import MAX_THREADS
-from helpers import bipolar, physical_cores, random_pattern
+from helpers import bipolar, physical_cores, random_pattern, steal_share, steal_text
 
 A = bipolar([1, -1, 1, -1])
 B = bipolar([1, 1, -1, -1])
@@ -249,11 +249,18 @@ def test_speedup_sanity_machine_relative():
 
     serial_pass(), parallel_pass()  # warm-up
     serial_ts, parallel_ts = [], []
-    for _ in range(100):
-        t0 = time.perf_counter_ns()
-        serial_pass()
-        serial_ts.append(time.perf_counter_ns() - t0)
-        t0 = time.perf_counter_ns()
-        parallel_pass()
-        parallel_ts.append(time.perf_counter_ns() - t0)
-    assert statistics.median(parallel_ts) < statistics.median(serial_ts)
+
+    def timed_loop():
+        for _ in range(100):
+            t0 = time.perf_counter_ns()
+            serial_pass()
+            serial_ts.append(time.perf_counter_ns() - t0)
+            t0 = time.perf_counter_ns()
+            parallel_pass()
+            parallel_ts.append(time.perf_counter_ns() - t0)
+
+    _, steal = steal_share(timed_loop)
+    serial, parallel = statistics.median(serial_ts), statistics.median(parallel_ts)
+    host = f"parallel median {parallel / 1e6:.2f}ms, serial median {serial / 1e6:.2f}ms, {steal_text(steal)}"
+    print(f"speedup sanity: {host}")
+    assert parallel < serial, host

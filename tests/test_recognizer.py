@@ -266,52 +266,39 @@ def test_weights_are_store_patterns_built_once(glyph_store_52, dense_weights_52)
         model.weights = w
 
 
-def test_literal_model_has_no_weights_and_no_int64_stack():
+def test_literal_model_has_no_weights_and_no_float64_stack():
     model = build_model(labeled(hadamard_rows(4)), mode="literal")
     assert model.weights is None
-    assert model._targets.dtype == np.int8
+    assert model._targets is None
     assert build_model(labeled(hadamard_rows(4)))._targets.dtype == np.float32
 
 
-def test_build_model_checks_the_int64_recall_bound(monkeypatch):
-    # |a[j]| <= k * n; lower the limit rather than allocate a store that breaks int64.
-    module = importlib.import_module("amnocr.recognize")
-    entries = labeled(hadamard_rows(4)[:2])  # k * n = 8
-    monkeypatch.setattr(module, "_INT64_MAX", 8)
-    assert build_model(entries).n == 4
-    assert build_model(entries, mode="literal").n == 4
-    monkeypatch.setattr(module, "_INT64_MAX", 7)
-    with pytest.raises(ValueError, match="overflow int64"):
-        build_model(entries)
-
-
-# --- the float32 stack against the int64 one ---
-# (The test names below predate the float32 stack, which replaced an int32 one.)
+# --- the float32 stack against the float64 one ---
 
 
 @pytest.mark.parametrize("k, n", [(3, 4), (1, 4), (2, 16)])
-def test_build_model_keeps_int32_within_its_bound(monkeypatch, k, n):
+def test_build_model_keeps_float32_within_its_bound(monkeypatch, k, n):
     # The widest float32 product is max(k * n, 2 * n); lower the bound rather than build such a store.
-    module = importlib.import_module("amnocr.recognize")
+    module = importlib.import_module("amnocr.core")
     entries = labeled(hadamard_rows(n)[:k])
     bound = max(k, 2) * n
     monkeypatch.setattr(module, "_FLOAT32_EXACT", bound)
     assert build_model(entries)._targets.dtype == np.float32
     monkeypatch.setattr(module, "_FLOAT32_EXACT", bound - 1)
-    assert build_model(entries)._targets.dtype == np.int64
-    assert build_model(entries, mode="literal")._targets.dtype == np.int8
+    assert build_model(entries)._targets.dtype == np.float64
+    assert build_model(entries, mode="literal")._targets is None
 
 
-def _int64_model(entries):
-    """``build_model(entries)`` with its float32 bound at 0, so the stack falls back to int64."""
+def _float64_model(entries):
+    """``build_model(entries)`` with its float32 bound at 0, so the stack falls back to float64."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("amnocr.recognize"), "_FLOAT32_EXACT", 0)
+        mp.setattr(importlib.import_module("amnocr.core"), "_FLOAT32_EXACT", 0)
         model = build_model(entries)
-    assert model._targets.dtype == np.int64
+    assert model._targets.dtype == np.float64
     return model
 
 
-def _assert_float32_matches_int64(model32, model64, key):
+def _assert_float32_matches_float64(model32, model64, key):
     assert model32._targets.dtype == np.float32
     result32, result64 = recognize(model32, key), recognize(model64, key)
     assert result32.first_difference(result64) is None
@@ -319,31 +306,31 @@ def _assert_float32_matches_int64(model32, model64, key):
 
 
 @pytest.fixture(scope="module")
-def int64_model_52(glyph_store_52):
-    return _int64_model(glyph_store_52)
+def float64_model_52(glyph_store_52):
+    return _float64_model(glyph_store_52)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-def test_int32_stack_equals_int64_on_52_glyphs(glyph_model_52, int64_model_52, rate):
+def test_float32_stack_equals_float64_on_52_glyphs(glyph_model_52, float64_model_52, rate):
     for i, entry in enumerate(glyph_model_52.entries):
-        _assert_float32_matches_int64(glyph_model_52, int64_model_52, flip_noise(entry.pattern, rate, seed=900 + i))
+        _assert_float32_matches_float64(glyph_model_52, float64_model_52, flip_noise(entry.pattern, rate, seed=900 + i))
 
 
 @pytest.mark.parametrize("order", [4, 8, 16])
-def test_int32_stack_equals_int64_on_hadamard_stores(order):
+def test_float32_stack_equals_float64_on_hadamard_stores(order):
     # Random keys against orthogonal rows give a = 0 cells and tied labels.
     rng = np.random.default_rng(order)
     entries = labeled(hadamard_rows(order))
-    model32, model64 = build_model(entries), _int64_model(entries)
+    model32, model64 = build_model(entries), _float64_model(entries)
     for key in [e.pattern for e in entries] + [random_pattern(rng, order) for _ in range(8)]:
-        _assert_float32_matches_int64(model32, model64, key)
+        _assert_float32_matches_float64(model32, model64, key)
 
 
-@pytest.mark.parametrize("bound, dtype, need", [(1 << 24, np.float32, 8 * 8 * 5), (0, np.int64, 8 * 8 * 9)])
+@pytest.mark.parametrize("bound, dtype, need", [(1 << 24, np.float32, 8 * 8 * 5), (0, np.float64, 8 * 8 * 9)])
 def test_build_model_checks_the_stack_budget(monkeypatch, bound, dtype, need):
-    # The int8 stack and its float32 or int64 copy: k * n * (1 + itemsize) bytes.
+    # The int8 stack and its float32 or float64 copy: k * n * (1 + itemsize) bytes.
     core = importlib.import_module("amnocr.core")
-    monkeypatch.setattr(importlib.import_module("amnocr.recognize"), "_FLOAT32_EXACT", bound)
+    monkeypatch.setattr(core, "_FLOAT32_EXACT", bound)
     entries = labeled(hadamard_rows(8))  # k = n = 8
     monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", need - 1)
     with pytest.raises(MemoryBudgetError, match=rf"k=8, n=8 needs {need} bytes .* budget of {need - 1} bytes"):
