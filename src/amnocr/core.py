@@ -80,7 +80,9 @@ def _check_weight_budget(n: int, matrices: int = 1) -> None:
 class ActivationVector:
     """Integer net inputs, one per output node, plus the key's geometry.
 
-    After storing k patterns, every entry is bounded by k * n in magnitude
+    The dense kernels (:func:`net_input` and ``par_net_input``) return it;
+    factored recognition thresholds its float net input without one. After
+    storing k patterns, every entry is bounded by k * n in magnitude
     for a bipolar key, so int64 never saturates at the sizes this package
     targets. ``a`` is always copied to a fresh read-only int64 array, once,
     whatever dtype it arrives in.

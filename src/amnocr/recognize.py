@@ -12,8 +12,8 @@ The ``literal`` mode instead trains a fresh matrix on (key, target) per label
 and recalls with the same key. That net input is key·(keyᵀt) = (key·key)·t,
 and key·key = n > 0 for a bipolar key, so recall reproduces the target exactly
 and every score is 100.00; the mode is kept as executable documentation of
-that degeneracy. Recognition reads the targets off the entries and does
-no arithmetic.
+that degeneracy. Recognition returns the predicted label's stored target, in
+the key's geometry, and does no arithmetic.
 
 Only the ``bench`` harness times the paper's dense serial and parallel
 kernels, on both modes: :func:`~amnocr.core.net_input` against
@@ -33,7 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    ActivationVector,
     _check_budget,
     _exact_float,
     match_score,
@@ -44,7 +43,7 @@ from .core import (
     zero_weights,
 )
 from .parallel import ExecPlan, par_net_input, par_train_pair
-from .patterns import LabeledPattern, Pattern
+from .patterns import LabeledPattern, Pattern, _from_mask
 
 __all__ = ["MODES", "RecognizerModel", "RecognitionResult", "build_model", "recognize", "repeat_recognize"]
 
@@ -58,10 +57,12 @@ class RecognizerModel:
     In superposed mode ``_targets`` stacks the alphabet as a (k, n) array P
     that every query multiplies by: float32 when every product of recall is
     exact in float32 (max(k, 2) * n <= 2**24), float64 otherwise (see
-    ``core._exact_float``). Literal mode keeps no stack, as recognition reads
-    the targets off ``entries``, and ``_targets`` is ``None``. Superposed
-    recognition never needs the n x n matrix W = PᵀP; ``weights`` builds it
-    on first access, for the dense kernels.
+    ``core._exact_float``); recall thresholds its net input in that dtype.
+    Literal mode keeps no stack, and ``_targets`` is ``None``: recognition
+    returns the stored target pattern itself, frozen with read-only cells,
+    when the key has its geometry, and the same cells in the key's geometry
+    otherwise. Superposed recognition never needs the n x n matrix W = PᵀP;
+    ``weights`` builds it on first access, for the dense kernels.
     """
 
     entries: tuple[LabeledPattern, ...]
@@ -181,16 +182,17 @@ def _argmax_label(scores: dict) -> str:
     return min(label for label, s in scores.items() if s == best)
 
 
-def _ranked(model: RecognizerModel, agree: np.ndarray) -> tuple[str, dict[str, Fraction]]:
+def _ranked(model: RecognizerModel, agree: list[int]) -> tuple[str, dict[str, Fraction]]:
     """``(predicted, scores)`` from per-label agreeing cell counts, as ``match_score`` scores them.
 
-    The percentage 100 * count / n rises with the count, so the winner is
-    read from the integer counts. One ``Fraction`` is built per distinct
-    count and shared by the labels that have it; ``Fraction``s are immutable.
+    ``agree`` holds one Python ``int`` per entry, in entry order. The
+    percentage 100 * count / n rises with the count, so the winner is read
+    from the integer counts. One ``Fraction`` is built per distinct count and
+    shared by the labels that have it; ``Fraction``s are immutable.
     """
     n = model.n
-    counts = dict(zip(model.labels, agree.tolist()))
-    pct = {c: Fraction(100 * c, n) for c in set(counts.values())}
+    counts = dict(zip(model.labels, agree))
+    pct = {c: Fraction(100 * c, n) for c in set(agree)}
     return _argmax_label(counts), {label: pct[c] for label, c in counts.items()}
 
 
@@ -203,14 +205,18 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
     stack's dtype (float32 within its 2**24 bound and float64 beyond it, see
     :func:`build_model`); it never calls BLAS, which would start threads of
-    its own. The winner is picked from integer agreement counts. Literal
-    mode does no arithmetic: training a fresh matrix on (key, t) and
+    its own. The net input is thresholded in that dtype too, a > 0, with
+    no int64 :class:`~amnocr.core.ActivationVector`, which now serves only
+    the dense kernels. The winner is picked from integer agreement counts.
+    Literal mode does no arithmetic: training a fresh matrix on (key, t) and
     recalling with the key gives the net input (key·key)·t with key·key =
-    n > 0, so it recalls every stored target t itself, read off
-    ``model.entries`` in the key's geometry. ``plan`` drives only the dense
-    kernels that ``bench`` times: there it runs them on the data-parallel
-    path, which is bit-identical to the serial one, so results never depend
-    on thread count or chunk size.
+    n > 0, so it recalls every stored target t itself, in the key's
+    geometry: the stored pattern itself when the geometries match, the same
+    cells reshaped otherwise. Every label then scores one shared
+    ``Fraction(100)``. ``plan`` drives only the dense kernels that ``bench``
+    times: there it runs them on the data-parallel path, which is
+    bit-identical to the serial one, so results never depend on thread
+    count or chunk size.
     """
     if key.n != model.n:
         raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
@@ -224,21 +230,24 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
         else:
             # Both operands in p's dtype: a mixed-dtype einsum casts through a buffer on every call.
             overlaps = np.einsum("kn,n->k", p, key.cells.astype(p.dtype))
-            recalled = threshold(
-                ActivationVector(width=key.width, height=key.height, a=np.einsum("k,kn->n", overlaps, p))
-            )
+            # The net input a = Pᵀ·overlaps is exact in p's dtype, so it is thresholded there, unnamed:
+            # it is freed as soon as the mask a > 0 exists.
+            recalled = _from_mask(key.width, key.height, np.einsum("k,kn->n", overlaps, p) > 0)
         # Bipolar cells agree in (n + p·r) / 2 positions, so this equals
         # match_score(recalled, target) per label, in exact integers; int64, as Fraction takes no floats.
         agree = ((model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2).astype(np.int64)
-        predicted, scores = _ranked(model, agree)
+        predicted, scores = _ranked(model, agree.tolist())
         return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
 
-    # Literal mode: every label recalls its own target, so agrees in all n cells.
-    predicted, scores = _ranked(model, np.full(len(model.entries), model.n))
-    cells = model.entries[model.labels.index(predicted)].pattern.cells
-    return RecognitionResult(
-        predicted=predicted, scores=scores, recalled=Pattern(width=key.width, height=key.height, cells=cells)
-    )
+    # Literal mode: every label recalls its own target, so agrees in all n cells and scores 100.
+    labels = model.labels
+    predicted = _argmax_label(dict.fromkeys(labels, model.n))
+    target = model.entries[labels.index(predicted)].pattern
+    if (target.width, target.height) != (key.width, key.height):
+        # The same n cells in the key's geometry, as the dense path shapes its recall.
+        target = _from_mask(key.width, key.height, target.cells > 0)
+    # A stored pattern is frozen and its cells read-only, so the result can share it.
+    return RecognitionResult(predicted=predicted, scores=dict.fromkeys(labels, Fraction(100)), recalled=target)
 
 
 def _recall_dense(w: np.ndarray, key: Pattern, plan: ExecPlan | None) -> Pattern:

@@ -1,6 +1,9 @@
 """Shared test utilities: pattern constructors and host introspection."""
 
 import os
+import statistics
+import threading
+import time
 
 import numpy as np
 
@@ -90,3 +93,45 @@ def steal_share(timed):
 def steal_text(share):
     """``share`` from :func:`steal_share` as a verdict fragment."""
     return "steal unknown" if share is None else f"steal {share:.1%} of ticks"
+
+
+def thread_split_ratio(w, key, rounds=40):
+    """Median time of a plain 2-thread split of ``key``'s int64 net input on ``w``, over the serial product's.
+
+    The serial side is ``key @ w``; the split starts two ``threading.Thread``s
+    that each compute half of the output columns, and joins them. The two
+    alternate for ``rounds`` rounds after one warm-up each, in this process.
+    A ratio at or above 1 says the host gave a 2-thread split of this product
+    no gain at all, whatever the package's kernels do. At n = 1209 it takes
+    about 0.1-0.3 s.
+    """
+    w = np.asarray(w, dtype=np.int64)
+    x = key.cells.astype(np.int64)
+    n = w.shape[1]
+    out = np.empty(n, dtype=np.int64)
+
+    def half(lo, hi):
+        out[lo:hi] = x @ w[:, lo:hi]
+
+    def split():
+        team = [threading.Thread(target=half, args=bounds) for bounds in ((0, n // 2), (n // 2, n))]
+        for t in team:
+            t.start()
+        for t in team:
+            t.join()
+
+    x @ w, split()  # warm-up
+    serial_ts, split_ts = [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter_ns()
+        x @ w
+        serial_ts.append(time.perf_counter_ns() - t0)
+        t0 = time.perf_counter_ns()
+        split()
+        split_ts.append(time.perf_counter_ns() - t0)
+    return statistics.median(split_ts) / statistics.median(serial_ts)
+
+
+def split_text(ratio):
+    """``ratio`` from :func:`thread_split_ratio` as a verdict fragment."""
+    return f"plain 2-thread split {ratio:.2f}x serial"

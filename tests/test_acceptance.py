@@ -41,7 +41,17 @@ from amnocr import (
     zero_weights,
 )
 from bmpbytes import make_bmp
-from helpers import bipolar, hadamard_rows, labeled, physical_cores, random_pattern, steal_share, steal_text
+from helpers import (
+    bipolar,
+    hadamard_rows,
+    labeled,
+    physical_cores,
+    random_pattern,
+    split_text,
+    steal_share,
+    steal_text,
+    thread_split_ratio,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -166,9 +176,10 @@ def test_c07_speedup_direction(glyph_model_52):
     serial_median = statistics.median(serial_samples)
     parallel_median = statistics.median(parallel_samples)
     elapsed = time.perf_counter() - t0
+    split = thread_split_ratio(glyph_model_52.weights, keys[0].pattern)  # after the timed run, outside elapsed
     host = (
         f"parallel median {parallel_median / 1e6:.2f}ms, serial median "
-        f"{serial_median / 1e6:.2f}ms on {cores} cores, {steal_text(steal)} ({elapsed:.1f}s)"
+        f"{serial_median / 1e6:.2f}ms on {cores} cores, {steal_text(steal)}, {split_text(split)} ({elapsed:.1f}s)"
     )
     assert parallel_median < serial_median, host
     assert elapsed < 60.0, host

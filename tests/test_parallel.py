@@ -17,7 +17,7 @@ from amnocr import (
     zero_weights,
 )
 from amnocr.parallel import MAX_THREADS
-from helpers import bipolar, physical_cores, random_pattern, steal_share, steal_text
+from helpers import bipolar, physical_cores, random_pattern, split_text, steal_share, steal_text, thread_split_ratio
 
 A = bipolar([1, -1, 1, -1])
 B = bipolar([1, 1, -1, -1])
@@ -261,6 +261,10 @@ def test_speedup_sanity_machine_relative():
 
     _, steal = steal_share(timed_loop)
     serial, parallel = statistics.median(serial_ts), statistics.median(parallel_ts)
-    host = f"parallel median {parallel / 1e6:.2f}ms, serial median {serial / 1e6:.2f}ms, {steal_text(steal)}"
+    split = thread_split_ratio(w, key)
+    host = (
+        f"parallel median {parallel / 1e6:.2f}ms, serial median {serial / 1e6:.2f}ms, "
+        f"{steal_text(steal)}, {split_text(split)}"
+    )
     print(f"speedup sanity: {host}")
     assert parallel < serial, host

@@ -404,6 +404,16 @@ def test_factored_literal_keeps_the_key_geometry():
     assert result.same_outcome(recognize(_dense_view(model), key))
 
 
+def _peak_bytes(run):
+    """The most bytes ``run()`` holds at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("plan", [None, ExecPlan(threads=2)])
 def test_literal_dense_recognition_holds_three_matrices(plan):
     # Each label's matrix is freed before the next is trained, so the zero
@@ -412,10 +422,38 @@ def test_literal_dense_recognition_holds_three_matrices(plan):
     n = 40 * 40
     model = build_model(labeled([random_pattern(rng, n, 40, 40) for _ in range(3)]), mode="literal")
     key = random_pattern(rng, n, 40, 40)
-    tracemalloc.start()
-    try:
-        recognize(_dense_view(model), key, plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * 8 * n * n
+    assert _peak_bytes(lambda: recognize(_dense_view(model), key, plan)) < 3.5 * 8 * n * n
+
+
+def test_factored_superposed_recognition_makes_no_int64_copy():
+    # The float32 net input (4n bytes) is thresholded where it is, so the most
+    # held at once is it and its n-byte mask, or the n recalled cells and their
+    # 4n-byte float32 copy; an int64 copy of the net input alone would be 8n.
+    rng = np.random.default_rng(91)
+    n = 200 * 200
+    model = build_model(labeled([random_pattern(rng, n, 200, 200) for _ in range(4)]))
+    key = flip_noise(model.entries[2].pattern, 0.2, seed=3)
+    assert _peak_bytes(lambda: recognize(model, key)) < 8 * n
+
+
+def test_literal_recognition_copies_no_cells():
+    # A key of the target's geometry recalls the stored pattern itself; Pattern(...) would hold 2n.
+    rng = np.random.default_rng(92)
+    n = 200 * 200
+    model = build_model(labeled([random_pattern(rng, n, 200, 200) for _ in range(4)]), mode="literal")
+    key = random_pattern(rng, n, 200, 200)
+    assert _peak_bytes(lambda: recognize(model, key)) < n
+
+
+def test_literal_recall_in_another_geometry_of_the_same_n():
+    rng = np.random.default_rng(93)
+    model = build_model(labeled([random_pattern(rng, 12, 4, 3) for _ in range(3)], list("cab")), mode="literal")
+    key = random_pattern(rng, 12, 3, 4)
+    _assert_literal_matches_dense(model, key)
+    recalled = recognize(model, key).recalled
+    assert (recalled.width, recalled.height) == (3, 4)
+    assert np.array_equal(recalled.cells, model.entries[1].pattern.cells)  # "a", the smallest label
+    assert not recalled.cells.flags.writeable
+    same = recognize(model, model.entries[0].pattern)
+    assert same.recalled is model.entries[1].pattern
+    assert not same.recalled.cells.flags.writeable
