@@ -203,27 +203,29 @@ def _write_csv(path, header, rows_out) -> Path:
     return path
 
 
-def write_report_csv(rows: list[ReportRow], path) -> Path:
-    """Full per-key report: outcome, match percentage, and both timings."""
+# How each per-key column renders a ReportRow; the report has them all, in this order.
+_COLUMNS = {
+    "label": lambda r: r.key_label,
+    "predicted": lambda r: r.predicted_label,
+    "match_pct": lambda r: f"{r.match_pct:.2f}",
+    "correct": lambda r: "true" if r.correct else "false",
+    "serial_median_ns": lambda r: _numstr(r.serial.median),
+    "parallel_median_ns": lambda r: _numstr(r.parallel.median),
+    "speedup": lambda r: f"{r.speedup:.4f}",
+    "runs": lambda r: r.runs,
+}
+
+
+def _write_columns(rows: list[ReportRow], path, columns) -> Path:
+    """One line per row with the named ``_COLUMNS``, under a header of their names."""
     if not rows:
         raise ValueError("no rows to write")
-    return _write_csv(
-        path,
-        ["label", "predicted", "match_pct", "correct", "serial_median_ns", "parallel_median_ns", "speedup", "runs"],
-        (
-            [
-                r.key_label,
-                r.predicted_label,
-                f"{r.match_pct:.2f}",
-                "true" if r.correct else "false",
-                _numstr(r.serial.median),
-                _numstr(r.parallel.median),
-                f"{r.speedup:.4f}",
-                r.runs,
-            ]
-            for r in rows
-        ),
-    )
+    return _write_csv(path, columns, ([_COLUMNS[c](r) for c in columns] for r in rows))
+
+
+def write_report_csv(rows: list[ReportRow], path) -> Path:
+    """Full per-key report: outcome, match percentage, and both timings."""
+    return _write_columns(rows, path, list(_COLUMNS))
 
 
 def write_matching_levels_csv(rows: list[ReportRow], path) -> Path:
@@ -233,27 +235,12 @@ def write_matching_levels_csv(rows: list[ReportRow], path) -> Path:
     column lets a consumer reconstruct the stricter award-0-on-miss
     convention without losing data.
     """
-    if not rows:
-        raise ValueError("no rows to write")
-    return _write_csv(
-        path,
-        ["label", "match_pct", "correct"],
-        ([r.key_label, f"{r.match_pct:.2f}", "true" if r.correct else "false"] for r in rows),
-    )
+    return _write_columns(rows, path, ["label", "match_pct", "correct"])
 
 
 def write_speedup_csv(rows: list[ReportRow], path) -> Path:
     """Per-key serial vs parallel decision timing, for speedup plots."""
-    if not rows:
-        raise ValueError("no rows to write")
-    return _write_csv(
-        path,
-        ["label", "serial_median_ns", "parallel_median_ns", "speedup"],
-        (
-            [r.key_label, _numstr(r.serial.median), _numstr(r.parallel.median), f"{r.speedup:.4f}"]
-            for r in rows
-        ),
-    )
+    return _write_columns(rows, path, ["label", "serial_median_ns", "parallel_median_ns", "speedup"])
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> Path:

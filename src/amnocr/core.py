@@ -80,9 +80,8 @@ def _check_weight_budget(n: int, matrices: int = 1) -> None:
 class ActivationVector:
     """Integer net inputs, one per output node, plus the key's geometry.
 
-    The dense kernels (:func:`net_input` and ``par_net_input``) return it;
-    factored recognition thresholds its float net input without one. After
-    storing k patterns, every entry is bounded by k * n in magnitude
+    The dense kernels (:func:`net_input` and ``par_net_input``) return it.
+    After storing k patterns, every entry is bounded by k * n in magnitude
     for a bipolar key, so int64 never saturates at the sizes this package
     targets. ``a`` is always copied to a fresh read-only int64 array, once,
     whatever dtype it arrives in.
@@ -163,10 +162,10 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
     """W = PᵀP, where P is the k x n stack of the patterns.
 
     Equals folding :func:`train_pair` with input == target over the list.
-    The product runs in ``_exact_float(k)``, float32 when k <= 2**24 and
-    float64 otherwise; both are exact, because every partial sum is an
-    integer of magnitude at most k. Two n x n 8-byte matrices, the product
-    and its int64 copy, are checked against ``MAX_WEIGHT_BYTES`` first.
+    The product runs in ``_exact_float(k)``, exact because every partial
+    sum is an integer of magnitude at most k. Two n x n 8-byte matrices,
+    the product and its int64 copy, are checked against ``MAX_WEIGHT_BYTES``
+    first.
     """
     if not patterns:
         raise ValueError("cannot store an empty pattern list")

@@ -35,7 +35,6 @@ import numpy as np
 from .core import (
     _check_budget,
     _exact_float,
-    match_score,
     net_input,
     store_patterns,
     threshold,
@@ -55,9 +54,8 @@ class RecognizerModel:
     """Immutable trained alphabet store; safe for concurrent recognition.
 
     In superposed mode ``_targets`` stacks the alphabet as a (k, n) array P
-    that every query multiplies by: float32 when every product of recall is
-    exact in float32 (max(k, 2) * n <= 2**24), float64 otherwise (see
-    ``core._exact_float``); recall thresholds its net input in that dtype.
+    that every query multiplies by, in the float dtype :func:`build_model`
+    picks; recall thresholds its net input in that dtype.
     Literal mode keeps no stack, and ``_targets`` is ``None``: recognition
     returns the stored target pattern itself, frozen with read-only cells,
     when the key has its geometry, and the same cells in the key's geometry
@@ -136,12 +134,11 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     """Validate the alphabet and precompute what the mode needs.
 
     Superposed mode keeps the alphabet as a stack for factored recall, in
-    ``core._exact_float(max(k, 2) * n)``: every partial sum of recall, the
-    overlaps |P·key| <= n, the net inputs |a| <= k * n and the agreement sums
-    n + P·r <= 2 * n, is an integer within that bound, so the stack is
-    float32 up to 2**24 and float64, exact for every store the budget admits,
-    beyond. The int8 stack and that copy, k * n * (1 + itemsize) bytes, are
-    checked against ``MAX_WEIGHT_BYTES`` first. Literal mode keeps no stack.
+    ``core._exact_float(max(k, 2) * n)``, which says why that is exact: the
+    bound caps every partial sum of recall, the overlaps |P·key| <= n, the
+    net inputs |a| <= k * n and the agreement sums n + P·r <= 2 * n. The int8
+    stack and that copy, k * n * (1 + itemsize) bytes, are checked against
+    ``MAX_WEIGHT_BYTES`` first. Literal mode keeps no stack.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -185,6 +182,7 @@ def _argmax_label(scores: dict) -> str:
 def _ranked(model: RecognizerModel, agree: list[int]) -> tuple[str, dict[str, Fraction]]:
     """``(predicted, scores)`` from per-label agreeing cell counts, as ``match_score`` scores them.
 
+    Superposed recall and literal dense recall both rank through it.
     ``agree`` holds one Python ``int`` per entry, in entry order. The
     percentage 100 * count / n rises with the count, so the winner is read
     from the integer counts. One ``Fraction`` is built per distinct count and
@@ -203,11 +201,9 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     O(kn) arithmetic takes less time than starting a worker team. Superposed
     mode computes a = Pᵀ(P·key), which equals
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
-    stack's dtype (float32 within its 2**24 bound and float64 beyond it, see
-    :func:`build_model`); it never calls BLAS, which would start threads of
-    its own. The net input is thresholded in that dtype too, a > 0, with
-    no int64 :class:`~amnocr.core.ActivationVector`, which now serves only
-    the dense kernels. The winner is picked from integer agreement counts.
+    stack's dtype (see :func:`build_model`); it never calls BLAS, which
+    would start threads of its own. The net input is thresholded in that
+    dtype too, a > 0. The winner is picked from integer agreement counts.
     Literal mode does no arithmetic: training a fresh matrix on (key, t) and
     recalling with the key gives the net input (key·key)·t with key·key =
     n > 0, so it recalls every stored target t itself, in the key's
@@ -257,8 +253,8 @@ def _recall_dense(w: np.ndarray, key: Pattern, plan: ExecPlan | None) -> Pattern
 
 def _recognize_literal_dense(model: RecognizerModel, key: Pattern, plan: ExecPlan | None) -> RecognitionResult:
     """Literal mode as the paper runs it: train on (key, target) and recall with the key, per label."""
-    scores = {}
     recalled_by_label = {}
+    agree = []
     zero = zero_weights(model.n)
     for e in model.entries:
         # Passed on unnamed, each label's matrix is freed before the next one is trained.
@@ -266,8 +262,8 @@ def _recognize_literal_dense(model: RecognizerModel, key: Pattern, plan: ExecPla
             par_train_pair(zero, key, e.pattern, plan) if plan else train_pair(zero, key, e.pattern), key, plan
         )
         recalled_by_label[e.label] = out
-        scores[e.label] = match_score(out, e.pattern)
-    predicted = _argmax_label(scores)
+        agree.append(int(np.count_nonzero(out.cells == e.pattern.cells)))
+    predicted, scores = _ranked(model, agree)
     return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled_by_label[predicted])
 
 

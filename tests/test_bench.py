@@ -287,6 +287,32 @@ def test_speedup_csv(ortho_model, tmp_path):
         assert float(got["serial_median_ns"]) == float(row.serial.median)
 
 
+def test_per_key_csvs_are_byte_exact(ortho_model, tmp_path):
+    rng = np.random.default_rng(9)
+    keys = [
+        LabeledPattern("a", ortho_model.entries[0].pattern),  # recognized
+        LabeledPattern("b", random_pattern(rng, ortho_model.n)),  # partial match, missed
+        LabeledPattern("c", ortho_model.entries[3].pattern),  # full match of another label
+    ]
+    rows = [
+        dataclasses.replace(r, serial=TimingStats((3, 4)), parallel=TimingStats((2, 2)))
+        for r in run_benchmark(ortho_model, keys, runs=2)
+    ]
+    assert write_report_csv(rows, tmp_path / "report.csv").read_bytes() == (
+        b"label,predicted,match_pct,correct,serial_median_ns,parallel_median_ns,speedup,runs\n"
+        b"a,a,100.00,true,3.5,2,1.7500,2\n"
+        b"b,a,62.50,false,3.5,2,1.7500,2\n"
+        b"c,d,100.00,false,3.5,2,1.7500,2\n"
+    )
+    assert write_matching_levels_csv(rows, tmp_path / "levels.csv").read_bytes() == (
+        b"label,match_pct,correct\na,100.00,true\nb,62.50,false\nc,100.00,false\n"
+    )
+    assert write_speedup_csv(rows, tmp_path / "speedup.csv").read_bytes() == (
+        b"label,serial_median_ns,parallel_median_ns,speedup\n"
+        b"a,3.5,2,1.7500\nb,3.5,2,1.7500\nc,3.5,2,1.7500\n"
+    )
+
+
 def test_csv_writers_reject_empty(tmp_path):
     for writer in (write_report_csv, write_matching_levels_csv, write_speedup_csv):
         with pytest.raises(ValueError):

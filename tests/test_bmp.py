@@ -178,3 +178,5 @@ def test_pixel_grid_validation():
         PixelGrid(2, 2, [0, 1, 2])  # wrong length
     with pytest.raises(ValueError):
         PixelGrid(1, 1, [300])  # out of range
+    with pytest.raises(ValueError):
+        PixelGrid(0, 1, [])  # no width

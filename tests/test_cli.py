@@ -190,6 +190,14 @@ def test_bench_writes_reports_and_summary(tmp_path, capsys):
     assert "mean_speedup" in stdout
 
 
+def test_bench_without_key_files_is_data_error(tmp_path, capsys):
+    manifest, _, _ = _write_store(tmp_path)
+    keys = tmp_path / "keys"
+    keys.mkdir()
+    assert main(["bench", "--store", str(manifest), "--keys", str(keys), "--out", str(tmp_path / "out")]) == 1
+    assert "no .bmp or .amnpat key files" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode, budget", [("superposed", 255), ("literal", 127), ("literal", 383)])
 def test_bench_over_the_weight_budget_exits_1(tmp_path, capsys, monkeypatch, mode, budget):
     # n=4: superposed bench builds W through a float64 product (256 bytes),
@@ -342,6 +350,9 @@ def test_bad_flag_values_are_usage_errors(tmp_path):
         ["recognize", "--store", str(manifest), "--key", "k", "--runs", "0"],
         ["bench", "--store", str(manifest), "--keys", "k", "--threads", "0"],
         ["noise-sweep", "--store", str(manifest), "--rates", "0.1", "--seed", "-4"],
+        ["noise-sweep", "--store", str(manifest), "--rates", "a,b", "--seed", "1"],
+        ["noise-sweep", "--store", str(manifest), "--rates", ",", "--seed", "1"],
+        ["bench", "--store", str(manifest), "--keys", str(manifest), "--runs", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -214,6 +214,18 @@ def test_threshold_frozen_and_boundaries():
     assert threshold(ActivationVector(3, 1, [1, 0, -1])).cells.tolist() == [1, -1, -1]
 
 
+def test_activation_vector_validation():
+    with pytest.raises(ValueError, match=">= 1"):
+        ActivationVector(0, 1, [])
+    with pytest.raises(ValueError, match="expected 4 activations, got 3"):
+        ActivationVector(2, 2, [1, 2, 3])
+
+
+def test_net_input_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="must be square"):
+        net_input(np.zeros((2, 3), dtype=np.int64), bipolar([1, -1]))
+
+
 def test_threshold_keeps_geometry():
     av = ActivationVector(2, 3, [5, -5, 0, 7, -1, 2])
     out = threshold(av)

@@ -7,6 +7,7 @@ import oracles
 from amnocr import (
     ActivationVector,
     BinarizePolicy,
+    LabeledPattern,
     ManifestError,
     Pattern,
     PatternFormatError,
@@ -152,6 +153,18 @@ def test_read_invalid_token():
 def test_read_rejects_each_malformed_token_at_its_row(rows, token):
     with pytest.raises(PatternFormatError, match=f"invalid token {token} at row 1 "):
         read_pattern_text(f"AMNPAT 1 2 2 q\n{rows}\n")
+
+
+def test_read_header_without_label():
+    with pytest.raises(PatternFormatError, match="malformed header line"):
+        read_pattern_text("AMNPAT 1 1 1\n1\n")
+
+
+def test_empty_label_is_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        LabeledPattern("", bipolar([1, -1]))
+    with pytest.raises(ValueError, match="nonempty"):
+        write_pattern_text(bipolar([1, -1]), "")
 
 
 def test_read_bad_magic():

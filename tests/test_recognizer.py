@@ -1,5 +1,6 @@
 """Alphabet model construction and ranked recognition."""
 
+import dataclasses
 import importlib
 import tracemalloc
 from fractions import Fraction
@@ -19,7 +20,7 @@ from amnocr import (
     repeat_recognize,
     store_patterns,
 )
-from amnocr.recognize import _dense_view
+from amnocr.recognize import RecognitionResult, _dense_view
 from helpers import bipolar, hadamard_rows, labeled, random_pattern
 
 
@@ -181,6 +182,12 @@ def test_repeat_runs_one_equals_recognize(hadamard_model):
     assert repeat_recognize(hadamard_model, key, runs=1).same_outcome(
         recognize(hadamard_model, key)
     )
+
+
+def test_first_difference_names_the_recalled_geometries():
+    result = RecognitionResult(predicted="a", scores={"a": Fraction(100)}, recalled=bipolar([1, -1]))
+    other = dataclasses.replace(result, recalled=bipolar([1, -1], width=1, height=2))
+    assert result.first_difference(other) == ("recalled geometry", "2x1", "1x2")
 
 
 def test_repeat_mean_of_identical_values_is_exact(hadamard_model):
