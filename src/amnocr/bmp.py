@@ -19,7 +19,8 @@ After the headers are checked, decoding works on whole arrays:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,46 +39,79 @@ _SUPPORTED_DEPTHS = (1, 4, 8, 24)
 
 
 @dataclass(frozen=True, eq=False)
-class PixelGrid:
-    """Row-major grid of 8-bit intensities, top row first.
+class _Grid:
+    """A ``width`` x ``height`` grid held as one row-major 1-D array, top row first.
 
-    ``values`` has one entry per pixel, each in [0, 255], and
-    ``len(values) == width * height``.
+    The input rule of :class:`PixelGrid`, ``Pattern`` and ``ActivationVector``:
+    both dimensions are >= 1 and the array is 1-D with ``width * height``
+    entries, each a bool, integer or float that the class's integer dtype
+    holds exactly. Strings, complex numbers, Python objects, 1.5, NaN, 256 for
+    uint8 and 2**63 for int64 raise ``ValueError``. The array is stored as a
+    fresh read-only copy in that dtype. Grids are unhashable, and equal when
+    type, geometry and entries are.
     """
 
     width: int
     height: int
-    values: np.ndarray
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"grid dimensions must be >= 1, got {self.width}x{self.height}")
-        values = np.asarray(self.values)
-        if values.dtype != np.uint8:  # a uint8 array is in [0, 255] by its type
-            values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1 or values.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} values for a "
-                f"{self.width}x{self.height} grid, got {values.size}"
-            )
-        if values.dtype != np.uint8 and values.size and (values.min() < 0 or values.max() > 255):
-            raise ValueError("pixel intensities must lie in [0, 255]")
-        values = values.astype(np.uint8)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    _size_error: ClassVar[str]  # formatted with n, width, height and size
+    _value_error: ClassVar[str]
 
     @property
     def n(self) -> int:
         return self.width * self.height
 
     def __eq__(self, other):
-        if not isinstance(other, PixelGrid):
+        if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.values, other.values)
+        array = fields(self)[-1].name  # the one field a subclass adds
+        return (self.width, self.height) == (other.width, other.height) and np.array_equal(
+            getattr(self, array), getattr(other, array)
         )
+
+    @classmethod
+    def _check_geometry(cls, width: int, height: int, array: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``array`` is one row-major vector for a ``width`` x ``height`` grid."""
+        if width < 1 or height < 1:
+            raise ValueError(f"{cls.__name__} dimensions must be >= 1, got {width}x{height}")
+        if array.ndim != 1 or array.size != width * height:
+            raise ValueError(cls._size_error.format(n=width * height, width=width, height=height, size=array.size))
+
+    def _freeze(self, field: str, dtype: type, rule=None) -> None:
+        """Check ``field`` by the input rule, and ``rule(array)`` if given, then store it frozen as ``dtype``."""
+        raw = np.asarray(getattr(self, field))
+        self._check_geometry(self.width, self.height, raw)
+        if raw.dtype.kind not in "biuf" or (rule is not None and not rule(raw)):
+            raise ValueError(self._value_error)
+        if raw.dtype == dtype:
+            frozen = raw.copy()
+        else:
+            bounds = np.iinfo(dtype)
+            low, high = np.float64(bounds.min), np.float64(bounds.max + 1)
+            # Outside [low, high), NaN included, a float casts to a platform-defined value.
+            if raw.dtype.kind == "f" and not np.all((raw >= low) & (raw < high)):
+                raise ValueError(self._value_error)
+            frozen = raw.astype(dtype)
+            if not np.array_equal(frozen, raw):  # a fraction, or an integer the cast wrapped
+                raise ValueError(self._value_error)
+        frozen.setflags(write=False)
+        object.__setattr__(self, field, frozen)
+
+
+@dataclass(frozen=True, eq=False)
+class PixelGrid(_Grid):
+    """Row-major grid of 8-bit intensities, top row first.
+
+    ``values`` holds one per pixel, integers in [0, 255], stored as uint8 by :class:`_Grid`'s input rule.
+    """
+
+    values: np.ndarray
+
+    _size_error = "expected {n} values for a {width}x{height} grid, got {size}"
+    _value_error = "pixel intensities must be integers in [0, 255]"
+
+    def __post_init__(self):
+        self._freeze("values", np.uint8)
 
 
 # B, G, R weights of the integer luma. The int32 accumulator is spelled out:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bmp import _Grid
 from .errors import MemoryBudgetError
 from .patterns import Pattern, _from_mask
 
@@ -77,43 +78,22 @@ def _check_weight_budget(n: int, matrices: int = 1) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ActivationVector:
+class ActivationVector(_Grid):
     """Integer net inputs, one per output node, plus the key's geometry.
 
     The dense kernels (:func:`net_input` and ``par_net_input``) return it.
     After storing k patterns, every entry is bounded by k * n in magnitude
     for a bipolar key, so int64 never saturates at the sizes this package
-    targets. ``a`` is always copied to a fresh read-only int64 array, once,
-    whatever dtype it arrives in.
+    targets. ``a`` is stored as int64 by ``_Grid``'s input rule.
     """
 
-    width: int
-    height: int
     a: np.ndarray
 
+    _size_error = "expected {n} activations, got {size}"
+    _value_error = "activations must be integers that int64 holds"
+
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
-        a = np.array(self.a, dtype=np.int64)
-        if a.ndim != 1 or a.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} activations, got {a.size}"
-            )
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return self.width * self.height
-
-    def __eq__(self, other):
-        if not isinstance(other, ActivationVector):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.a, other.a)
-        )
+        self._freeze("a", np.int64)
 
 
 def _check_weights(w: np.ndarray, **patterns: Pattern) -> np.ndarray:

@@ -18,6 +18,7 @@ overrides the default team size; a plan asks for at most ``MAX_THREADS``.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -56,9 +57,9 @@ def _default_threads() -> int:
 class ExecPlan:
     """Worker count and block size for static chunked scheduling.
 
-    ``threads`` defaults to ``AMN_THREADS`` or the hardware thread count,
-    and must lie in [1, ``MAX_THREADS``]. ``chunk=None`` means one block per
-    worker, ceil(n / threads), resolved when the index range is known.
+    ``threads`` defaults to ``AMN_THREADS`` or the hardware thread count and
+    is an integer in [1, ``MAX_THREADS``]. ``chunk`` is an integer >= 1, or
+    ``None`` for one block per worker, ceil(n / threads), once n is known.
     """
 
     threads: int | None = None
@@ -67,6 +68,9 @@ class ExecPlan:
     def __post_init__(self):
         if self.threads is None:
             object.__setattr__(self, "threads", _default_threads())
+        for name, value in (("threads", self.threads), ("chunk", self.chunk)):
+            if not isinstance(value, (numbers.Integral, type(None))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.threads > MAX_THREADS:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bmp import PixelGrid, decode_bmp
+from .bmp import PixelGrid, _Grid, decode_bmp
 from .errors import InvariantError, ManifestError, PatternFormatError
 
 __all__ = [
@@ -36,39 +36,20 @@ _ONE, _MINUS_ONE = ord("1"), 0xFF  # the bytes read_pattern_text turns "1" and "
 
 
 @dataclass(frozen=True, eq=False)
-class Pattern:
-    """Row-major bipolar vector: every cell is exactly +1 or -1."""
+class Pattern(_Grid):
+    """Row-major bipolar vector: every cell is exactly +1 or -1, stored as int8 by ``_Grid``'s input rule."""
 
-    width: int
-    height: int
     cells: np.ndarray
 
-    def __post_init__(self):
-        cells = np.asarray(self.cells)
-        _check_geometry(self.width, self.height, cells)
-        # Checked before narrowing, which would wrap 255 to -1, cut 1.5 to 1 and 1j (|1j| = 1) to 0.
-        if cells.dtype.kind == "c" or not np.all(np.abs(cells) == 1):
-            raise ValueError("pattern cells must all be +1 or -1")
-        cells = cells.astype(np.int8)  # always a copy
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
+    _size_error = "expected {n} cells for a {width}x{height} pattern, got {size}"
+    _value_error = "pattern cells must all be +1 or -1"
 
-    @property
-    def n(self) -> int:
-        return self.width * self.height
+    def __post_init__(self):
+        self._freeze("cells", np.int8, lambda cells: np.all(np.abs(cells) == 1))
 
     def rows(self) -> np.ndarray:
         """The cells as a (height, width) view."""
         return self.cells.reshape(self.height, self.width)
-
-    def __eq__(self, other):
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.cells, other.cells)
-        )
 
     def __repr__(self):
         return f"Pattern({self.width}x{self.height})"
@@ -93,14 +74,21 @@ class BinarizePolicy:
 
 @dataclass(frozen=True)
 class LabeledPattern:
-    """A glyph identifier paired with its stored pattern. Labels are case-sensitive."""
+    """A glyph identifier paired with its stored pattern. Labels are case-sensitive, nonempty and one line."""
 
     label: str
     pattern: Pattern
 
     def __post_init__(self):
-        if not self.label:
-            raise ValueError("label must be nonempty")
+        _check_label(self.label)
+
+
+def _check_label(label: str) -> None:
+    """Raise ``ValueError`` unless ``label`` is nonempty and has no line boundary read_pattern_text splits at."""
+    if not label:
+        raise ValueError("label must be nonempty")
+    if label.splitlines() != [label]:
+        raise ValueError("label must not contain newlines")
 
 
 def pixels_to_pattern(grid: PixelGrid, policy: BinarizePolicy | None = None) -> Pattern:
@@ -111,14 +99,6 @@ def pixels_to_pattern(grid: PixelGrid, policy: BinarizePolicy | None = None) -> 
     return _from_mask(grid.width, grid.height, foreground)
 
 
-def _check_geometry(width: int, height: int, cells: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``cells`` is one row-major vector for a ``width`` x ``height`` pattern."""
-    if width < 1 or height < 1:
-        raise ValueError(f"pattern dimensions must be >= 1, got {width}x{height}")
-    if cells.ndim != 1 or cells.size != width * height:
-        raise ValueError(f"expected {width * height} cells for a {width}x{height} pattern, got {cells.size}")
-
-
 def _from_mask(width: int, height: int, mask: np.ndarray) -> Pattern:
     """The pattern with +1 where ``mask`` is true and -1 elsewhere.
 
@@ -126,7 +106,7 @@ def _from_mask(width: int, height: int, mask: np.ndarray) -> Pattern:
     made here, fresh and +-1 by construction, so they are neither scanned
     nor copied again.
     """
-    _check_geometry(width, height, mask)
+    Pattern._check_geometry(width, height, mask)
     cells = mask.astype(np.int8)
     cells *= 2
     cells -= 1
@@ -146,10 +126,7 @@ def write_pattern_text(pattern: Pattern, label: str) -> str:
     pattern row of space-separated ``1``/``-1`` tokens. Newline-terminated,
     no trailing spaces.
     """
-    if not label:
-        raise ValueError("label must be nonempty")
-    if label.splitlines() != [label]:  # any line boundary read_pattern_text would split at
-        raise ValueError("label must not contain newlines")
+    _check_label(label)
     # One sign byte and one separator byte per cell, then "0" widens to "-1".
     body = np.empty((pattern.height, pattern.width, 2), dtype=np.uint8)
     body[..., 0] = pattern.rows() > 0
@@ -269,26 +246,25 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
         if len(row) != 2 or not row[0]:
             raise ManifestError(f"{path}:{line_num}: expected 'label,path', got {row!r}")
         label, entry = row
+        try:
+            _check_label(label)
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{line_num}: {exc}") from None
         if "\x00" in entry:
             raise ManifestError(f"{path}:{line_num}: path {entry!r} contains a NUL character")
         if label in seen:
             raise ManifestError(f"{path}:{line_num}: duplicate label {label!r}")
         seen.add(label)
-        entry_path = Path(entry)
-        if not entry_path.is_absolute():
-            entry_path = path.parent / entry_path
+        entry_path = path.parent / entry  # an absolute entry replaces the manifest's directory
         try:
             pattern = load_pattern_file(entry_path, policy)
         except OSError as exc:
             raise ManifestError(f"{path}:{line_num}: cannot read {entry_path}: {exc}") from exc
-        if entries and (pattern.width, pattern.height) != (
-            entries[0].pattern.width,
-            entries[0].pattern.height,
-        ):
+        first = entries[0].pattern if entries else pattern
+        if (pattern.width, pattern.height) != (first.width, first.height):
             raise ManifestError(
                 f"{path}:{line_num}: dimension mismatch for label {label!r}: "
-                f"{pattern.width}x{pattern.height} != "
-                f"{entries[0].pattern.width}x{entries[0].pattern.height}"
+                f"{pattern.width}x{pattern.height} != {first.width}x{first.height}"
             )
         entries.append(LabeledPattern(label=label, pattern=pattern))
     return entries

@@ -1,5 +1,7 @@
 """Decoder tests over hand-constructed fixture bytes (see tests/bmpbytes.py)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,16 @@ def test_pixel_grid_validation():
         PixelGrid(1, 1, [300])  # out of range
     with pytest.raises(ValueError):
         PixelGrid(0, 1, [])  # no width
+    # A cast to uint8 would store 1, 0 (with a ComplexWarning), 7, 255, 0 and 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1.5, 1j, "7", -1, 256.0, np.nan):
+            with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+                PixelGrid(1, 1, [value])
+
+
+def test_pixel_grid_stores_a_read_only_copy():
+    source = np.array([0, 255], dtype=np.uint8)
+    grid = PixelGrid(2, 1, source)
+    assert not np.shares_memory(grid.values, source) and not grid.values.flags.writeable
+    assert grid == PixelGrid(2, 1, [0, 255]) and grid.values.dtype == np.uint8

@@ -101,6 +101,20 @@ def test_ingest_reports_a_stem_that_cannot_be_a_label_and_continues(tmp_path, ca
     assert [p.name for p in out.iterdir()] == ["good.amnpat"]
 
 
+def test_ingest_named_files(tmp_path, capsys):
+    blob = make_bmp(glyph_index_rows(4, 4, seed=1), depth=4)
+    for name in ("Q.bmp", "R.img"):  # a named file is read whatever its suffix
+        (tmp_path / name).write_bytes(blob)
+    out = tmp_path / "d"
+    argv = ["ingest", *(str(tmp_path / name) for name in ("Q.bmp", "R.img", "missing.bmp")), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["Q.amnpat", "R.amnpat"]
+    assert len(captured.out.splitlines()) == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {tmp_path / 'missing.bmp'}: ")
+
+
 def test_ingest_empty_directory(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -154,6 +168,17 @@ def test_recognize_missing_store_is_data_error(tmp_path, capsys):
     key.write_text("AMNPAT 1 1 1 x\n1\n", encoding="utf-8")
     assert main(["recognize", "--store", str(tmp_path / "nope.csv"), "--key", str(key)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_recognize_label_with_a_newline_is_data_error(tmp_path, capsys):
+    # The label would print as a forged ranking line "Z 100.00".
+    _write_store(tmp_path)
+    manifest = tmp_path / "forged.csv"
+    manifest.write_text('label,path\n"a\nZ 100.00",a.amnpat\n', encoding="utf-8")
+    assert main(["recognize", "--store", str(manifest), "--key", str(tmp_path / "a.amnpat")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "forged.csv:3: label must not contain newlines" in captured.err
 
 
 def test_recognize_dimension_mismatch_is_data_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ of them and with a corrupted copy) were computed with tests/oracles.py before
 the kernels existed and are frozen here as literals.
 """
 
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -219,6 +220,12 @@ def test_activation_vector_validation():
         ActivationVector(0, 1, [])
     with pytest.raises(ValueError, match="expected 4 activations, got 3"):
         ActivationVector(2, 2, [1, 2, 3])
+    # A cast to int64 would store 0, -2**63 and 3.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (np.array([0.5]), np.array([2**63], dtype=np.uint64), np.array(["3"])):
+            with pytest.raises(ValueError, match="int64"):
+                ActivationVector(1, 1, a)
 
 
 def test_net_input_rejects_a_non_square_matrix():

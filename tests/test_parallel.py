@@ -74,6 +74,13 @@ def test_plan_validation():
         ExecPlan(threads=0)
     with pytest.raises(ValueError):
         ExecPlan(threads=2, chunk=0)
+    # partition_static would fail later with a TypeError on these.
+    for bad in (2.5, "2"):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            ExecPlan(threads=bad)
+        with pytest.raises(ValueError, match="chunk must be an integer"):
+            ExecPlan(threads=2, chunk=bad)
+    assert ExecPlan(threads=np.int64(2), chunk=np.int32(3)).chunk_for(10) == 3
 
 
 def test_plan_env_override(monkeypatch):

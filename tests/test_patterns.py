@@ -1,5 +1,7 @@
 """Binarization, AMNPAT text format, manifest loading, and synthetic noise."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,21 @@ def test_pattern_validation():
     # Not +-1, though a cast to int8 would turn 257, 255 and 1.5 into +-1 and [255] into an OverflowError.
     not_bipolar = (np.array([257]), np.array([255]), np.array([1.5]), np.array([-1.0, 1.5]), np.array([1j]))
     not_bipolar += (np.array([1, 0, -1]), np.array([1, 2, -1]))
-    for cells in (*not_bipolar, [255], [-129]):
-        with pytest.raises(ValueError, match=r"\+1 or -1"):
-            Pattern(1, len(cells), cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cells in (*not_bipolar, [255], [-129], ["1"]):
+            with pytest.raises(ValueError, match=r"\+1 or -1"):
+                Pattern(1, len(cells), cells)
+
+
+def test_grids_are_unhashable_and_equal_only_to_their_own_type():
+    grids = (Pattern(1, 1, [1]), PixelGrid(1, 1, [1]), ActivationVector(1, 1, [1]))
+    for grid in grids:
+        assert grid == type(grid)(1, 1, [1])
+        assert [other == grid for other in grids].count(True) == 1
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(grid)
+    assert bipolar([1, -1], 2, 1) != bipolar([1, -1], 1, 2) != bipolar([-1, 1], 1, 2)
 
 
 def test_pattern_cells_are_read_only():
@@ -248,9 +262,10 @@ def test_manifest_mixed_formats(tmp_path):
     p = pixels_to_pattern(decode_bmp(make_bmp(rows, depth=4)))
     (tmp_path / "b.amnpat").write_text(write_pattern_text(p, "ignored"), encoding="utf-8")
     manifest = tmp_path / "store.csv"
-    manifest.write_text("label,path\nA,a.bmp\nB,b.amnpat\n", encoding="utf-8")
+    # An absolute entry path is used as it is, not joined to the manifest's directory.
+    manifest.write_text(f"label,path\nA,a.bmp\nB,b.amnpat\nC,{tmp_path / 'a.bmp'}\n", encoding="utf-8")
     entries = load_manifest(manifest)
-    assert entries[0].pattern == entries[1].pattern  # same source pixels
+    assert entries[0].pattern == entries[1].pattern == entries[2].pattern  # same source pixels
     assert entries[1].label == "B"  # manifest label wins over embedded one
 
 
@@ -311,6 +326,8 @@ def test_label_with_any_line_break_is_rejected():
     for label in ("a\nb", "a\rb", "a\x0cb", "a\x85b", "a\u2028b"):
         with pytest.raises(ValueError, match="newlines"):
             write_pattern_text(bipolar([1, -1]), label)
+        with pytest.raises(ValueError, match="newlines"):
+            LabeledPattern(label, bipolar([1, -1]))
 
 
 def test_amnpat_file_that_is_not_utf8(tmp_path):
@@ -326,8 +343,9 @@ def test_amnpat_file_that_is_not_utf8(tmp_path):
         (b"label,path\n\x80,a.bmp\n", "codec can't decode"),
         (b"label,path\nA," + b"x" * 200_000 + b"\n", "field larger than field limit"),
         (b"label,path\nA,a\x00.bmp\n", "NUL"),
+        (b'label,path\n"A\nZ 100.00",a.bmp\n', "store.csv:3: label must not contain newlines"),
     ],
-    ids=["not-utf8", "huge-field", "nul-in-path"],
+    ids=["not-utf8", "huge-field", "nul-in-path", "newline-in-label"],
 )
 def test_manifest_malformed_bytes_are_manifest_errors(tmp_path, text, message):
     manifest = tmp_path / "store.csv"
