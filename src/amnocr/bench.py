@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import format_pct
-from .errors import InvariantError, ParallelDivergenceError
+from .errors import InvariantError, ParallelDivergenceError, _check_int
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, flip_noise
 from .recognize import RecognitionResult, RecognizerModel, _dense_view, recognize, repeat_recognize
@@ -122,8 +122,7 @@ def run_benchmark(
     """
     if not keys:
         raise ValueError("keys must be nonempty")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_int("runs", runs, 1)
     plan = plan or ExecPlan()
     model = _dense_view(model)
 
@@ -174,8 +173,8 @@ def noise_sweep(
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"flip rate must lie in [0, 1], got {rate}")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_int("runs", runs, 1)
+    _check_int("seed", seed, 0)
     points: list[SweepPoint] = []
     for rate in rates:
         results = [recognize(model, flip_noise(e.pattern, rate, seed + i)) for i, e in enumerate(model.entries)]

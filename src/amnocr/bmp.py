@@ -30,6 +30,7 @@ from .errors import (
     BmpHeaderError,
     BmpPaletteError,
     BmpTruncatedError,
+    _check_int,
 )
 
 __all__ = ["PixelGrid", "decode_bmp"]
@@ -43,12 +44,12 @@ class _Grid:
     """A ``width`` x ``height`` grid held as one row-major 1-D array, top row first.
 
     The input rule of :class:`PixelGrid`, ``Pattern`` and ``ActivationVector``:
-    both dimensions are >= 1 and the array is 1-D with ``width * height``
-    entries, each a bool, integer or float that the class's integer dtype
-    holds exactly. Strings, complex numbers, Python objects, 1.5, NaN, 256 for
-    uint8 and 2**63 for int64 raise ``ValueError``. The array is stored as a
-    fresh read-only copy in that dtype. Grids are unhashable, and equal when
-    type, geometry and entries are.
+    both dimensions are integers >= 1, not bool, and the array is 1-D with
+    ``width * height`` entries, each a bool, integer or float that the class's
+    integer dtype holds exactly. Strings, complex numbers, Python objects, 1.5,
+    NaN, 256 for uint8 and 2**63 for int64 raise ``ValueError``. The array is
+    stored as a fresh read-only copy in that dtype. Grids are unhashable, and
+    equal when type, geometry and entries are.
     """
 
     width: int
@@ -72,8 +73,8 @@ class _Grid:
     @classmethod
     def _check_geometry(cls, width: int, height: int, array: np.ndarray) -> None:
         """Raise ``ValueError`` unless ``array`` is one row-major vector for a ``width`` x ``height`` grid."""
-        if width < 1 or height < 1:
-            raise ValueError(f"{cls.__name__} dimensions must be >= 1, got {width}x{height}")
+        _check_int("width", width, 1)
+        _check_int("height", height, 1)
         if array.ndim != 1 or array.size != width * height:
             raise ValueError(cls._size_error.format(n=width * height, width=width, height=height, size=array.size))
 
@@ -216,7 +217,7 @@ def decode_bmp(data: bytes) -> PixelGrid:
         indices = nibbles[:, :width]
     else:  # depth == 1, most significant bit first
         indices = np.unpackbits(rows, axis=1, count=width)
-    if len(palette) < 1 << depth:
+    if len(palette) < (1 << depth):
         bad = indices >= len(palette)
         if bad.any():
             row, col = divmod(int(np.argmax(bad)), width)  # first in top-down order

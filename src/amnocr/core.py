@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bmp import _Grid
-from .errors import MemoryBudgetError
+from .errors import MemoryBudgetError, _check_int
 from .patterns import Pattern, _from_mask
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "match_score",
     "format_pct",
 ]
-
-# A weight matrix is a plain (n, n) int64 ndarray; no wrapper type is needed
-# because the dimension is carried by the shape.
-WeightMatrix = np.ndarray
 
 # The most bytes a dense n x n computation may hold at once. The reference
 # 31x39 glyphs need 11.7 MB per int64 W; a 150x150 glyph would need 4 GB,
@@ -111,17 +107,16 @@ def _check_weights(w: np.ndarray, **patterns: Pattern) -> np.ndarray:
     return np.asarray(w, dtype=np.int64)
 
 
-def zero_weights(n: int) -> WeightMatrix:
+def zero_weights(n: int) -> np.ndarray:
     """A fresh all-zero n x n weight matrix, within ``MAX_WEIGHT_BYTES``."""
-    if n < 1:
-        raise ValueError(f"weight dimension must be >= 1, got {n}")
+    _check_int("weight dimension", n, 1)
     _check_weight_budget(n)
     w = np.zeros((n, n), dtype=np.int64)
     w.setflags(write=False)
     return w
 
 
-def train_pair(w: WeightMatrix, input_pattern: Pattern, target_pattern: Pattern) -> WeightMatrix:
+def train_pair(w: np.ndarray, input_pattern: Pattern, target_pattern: Pattern) -> np.ndarray:
     """One Hebbian update: w[i, j] += input[i] * target[j] for every (i, j).
 
     Returns a new matrix; the argument is not mutated. Integer arithmetic,
@@ -138,7 +133,7 @@ def train_pair(w: WeightMatrix, input_pattern: Pattern, target_pattern: Pattern)
     return out
 
 
-def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
+def store_patterns(patterns: Sequence[Pattern]) -> np.ndarray:
     """W = PᵀP, where P is the k x n stack of the patterns.
 
     Equals folding :func:`train_pair` with input == target over the list.
@@ -160,7 +155,7 @@ def store_patterns(patterns: Sequence[Pattern]) -> WeightMatrix:
     return w
 
 
-def net_input(w: WeightMatrix, key: Pattern) -> ActivationVector:
+def net_input(w: np.ndarray, key: Pattern) -> ActivationVector:
     """Net input to each output node: a[j] = sum_i key[i] * w[i, j], exactly."""
     a = key.cells.astype(np.int64) @ _check_weights(w, key=key)
     return ActivationVector(width=key.width, height=key.height, a=a)
@@ -176,7 +171,7 @@ def threshold(activations: ActivationVector) -> Pattern:
     return _from_mask(activations.width, activations.height, activations.a > 0)
 
 
-def recall(w: WeightMatrix, key: Pattern) -> Pattern:
+def recall(w: np.ndarray, key: Pattern) -> Pattern:
     """One synchronous pass: threshold the net inputs for ``key``."""
     return threshold(net_input(w, key))
 

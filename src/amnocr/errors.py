@@ -1,9 +1,11 @@
 """Exception types for data errors and internal invariant breaches.
 
 Data problems (bad files, bad manifests) raise ``AmnError`` subclasses so
-callers can distinguish them from programming errors (``ValueError``) and
-from internal invariant breaches (``InvariantError``).
+callers can tell them from programming errors (``ValueError``, such as a bad
+count, see ``_check_int``) and from invariant breaches (``InvariantError``).
 """
+
+import numpy as np
 
 
 class AmnError(Exception):
@@ -52,3 +54,17 @@ class InvariantError(RuntimeError):
 
 class ParallelDivergenceError(InvariantError):
     """Serial and parallel execution paths produced different results."""
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer in [``lo``, ``hi``]; ``hi=None`` leaves it open.
+
+    The one rule for the counts and sizes that library calls receive: ``int``
+    and NumPy integers pass; bool, floats and strings do not. Nothing is converted.
+    """
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be at most {hi}, got {value}")

@@ -18,17 +18,17 @@ overrides the default team size; a plan asks for at most ``MAX_THREADS``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationVector, WeightMatrix, _check_weight_budget, _check_weights
+from .core import ActivationVector, _check_weight_budget, _check_weights
+from .errors import _check_int
 from .patterns import Pattern
 
-__all__ = ["MAX_THREADS", "ExecPlan", "IndexAssignment", "partition_static", "par_train_pair", "par_net_input"]
+__all__ = ["MAX_THREADS", "ExecPlan", "partition_static", "par_train_pair", "par_net_input"]
 
 THREADS_ENV_VAR = "AMN_THREADS"
 
@@ -60,6 +60,7 @@ class ExecPlan:
     ``threads`` defaults to ``AMN_THREADS`` or the hardware thread count and
     is an integer in [1, ``MAX_THREADS``]. ``chunk`` is an integer >= 1, or
     ``None`` for one block per worker, ceil(n / threads), once n is known.
+    Anything else, bool included, is a ``ValueError`` (``errors._check_int``).
     """
 
     threads: int | None = None
@@ -68,15 +69,9 @@ class ExecPlan:
     def __post_init__(self):
         if self.threads is None:
             object.__setattr__(self, "threads", _default_threads())
-        for name, value in (("threads", self.threads), ("chunk", self.chunk)):
-            if not isinstance(value, (numbers.Integral, type(None))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.threads > MAX_THREADS:
-            raise ValueError(f"threads must be at most {MAX_THREADS}, got {self.threads}")
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        _check_int("threads", self.threads, 1, MAX_THREADS)
+        if self.chunk is not None:
+            _check_int("chunk", self.chunk, 1)
 
     def chunk_for(self, n: int) -> int:
         return self.chunk if self.chunk is not None else math.ceil(n / self.threads)
@@ -96,8 +91,7 @@ def partition_static(n: int, plan: ExecPlan) -> IndexAssignment:
     Block b covers [b*chunk, min((b+1)*chunk, n)) and goes to worker
     b mod threads; the last block may be short.
     """
-    if n < 1:
-        raise ValueError(f"index count must be >= 1, got {n}")
+    _check_int("index count", n, 1)
     chunk = plan.chunk_for(n)
     per_worker: list[list[tuple[int, int]]] = [[] for _ in range(plan.threads)]
     for b, start in enumerate(range(0, n, chunk)):
@@ -136,9 +130,7 @@ def _run_team(assignment: IndexAssignment, work) -> None:
         raise failures[0]
 
 
-def par_train_pair(
-    w: WeightMatrix, input_pattern: Pattern, target_pattern: Pattern, plan: ExecPlan
-) -> WeightMatrix:
+def par_train_pair(w: np.ndarray, input_pattern: Pattern, target_pattern: Pattern, plan: ExecPlan) -> np.ndarray:
     """Parallel Hebbian update; bit-identical to :func:`amnocr.core.train_pair`.
 
     Parallelized over the row index: a worker updates only the weight rows in
@@ -159,7 +151,7 @@ def par_train_pair(
     return out
 
 
-def par_net_input(w: WeightMatrix, key: Pattern, plan: ExecPlan) -> ActivationVector:
+def par_net_input(w: np.ndarray, key: Pattern, plan: ExecPlan) -> ActivationVector:
     """Parallel net input; bit-identical to :func:`amnocr.core.net_input`.
 
     Parallelized over the output node index: each a[j] is computed entirely

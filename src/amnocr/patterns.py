@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bmp import PixelGrid, _Grid, decode_bmp
-from .errors import InvariantError, ManifestError, PatternFormatError
+from .errors import InvariantError, ManifestError, PatternFormatError, _check_int
 
 __all__ = [
     "Pattern",
@@ -68,8 +68,7 @@ class BinarizePolicy:
     foreground_is_dark: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.threshold <= 255:
-            raise ValueError(f"threshold must lie in [0, 255], got {self.threshold}")
+        _check_int("threshold", self.threshold, 0, 255)
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,9 @@ def read_pattern_text(text: str) -> tuple[Pattern, str]:
         raise PatternFormatError(f"malformed header line {lines[0]!r}")
 
     body = lines[1:]
-    if sum(1 for line in body if line.strip()) != height:
-        raise PatternFormatError(
-            f"row count mismatch: header says {height}, "
-            f"found {sum(1 for line in body if line.strip())} rows"
-        )
+    found = sum(1 for line in body if line.strip())
+    if found != height:
+        raise PatternFormatError(f"row count mismatch: header says {height}, found {found} rows")
     rows = body[:height]
     for r, line in enumerate(rows):  # before allocating, so the text bounds the cell count
         if line.count(" ") + 1 != width:
@@ -280,6 +277,7 @@ def flip_noise(pattern: Pattern, rate: float, seed: int) -> Pattern:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"flip rate must lie in [0, 1], got {rate}")
+    _check_int("seed", seed, 0)
     flips = round(rate * pattern.n)
     rng = np.random.default_rng(seed)
     indices = rng.permutation(pattern.n)[:flips]

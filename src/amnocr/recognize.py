@@ -41,10 +41,11 @@ from .core import (
     train_pair,
     zero_weights,
 )
+from .errors import _check_int
 from .parallel import ExecPlan, par_net_input, par_train_pair
 from .patterns import LabeledPattern, Pattern, _from_mask
 
-__all__ = ["MODES", "RecognizerModel", "RecognitionResult", "build_model", "recognize", "repeat_recognize"]
+__all__ = ["RecognizerModel", "RecognitionResult", "build_model", "recognize", "repeat_recognize"]
 
 MODES = ("superposed", "literal")
 
@@ -235,15 +236,14 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
         predicted, scores = _ranked(model, agree.tolist())
         return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
 
-    # Literal mode: every label recalls its own target, so agrees in all n cells and scores 100.
-    labels = model.labels
-    predicted = _argmax_label(dict.fromkeys(labels, model.n))
-    target = model.entries[labels.index(predicted)].pattern
+    # Literal mode: every label recalls its own target, so all tie at 100 and the smallest label wins.
+    winner = min(model.entries, key=lambda e: e.label)
+    target = winner.pattern
     if (target.width, target.height) != (key.width, key.height):
         # The same n cells in the key's geometry, as the dense path shapes its recall.
         target = _from_mask(key.width, key.height, target.cells > 0)
     # A stored pattern is frozen and its cells read-only, so the result can share it.
-    return RecognitionResult(predicted=predicted, scores=dict.fromkeys(labels, Fraction(100)), recalled=target)
+    return RecognitionResult(predicted=winner.label, scores=dict.fromkeys(model.labels, Fraction(100)), recalled=target)
 
 
 def _recall_dense(w: np.ndarray, key: Pattern, plan: ExecPlan | None) -> Pattern:
@@ -275,8 +275,7 @@ def repeat_recognize(
     The algorithm is deterministic, so the mean per-label score equals any
     single run's score; the repetition exists to collect timing samples.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_int("runs", runs, 1)
     per_run: list[RecognitionResult] = []
     timings: list[int] = []
     for _ in range(runs):
