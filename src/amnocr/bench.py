@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import format_pct
-from .errors import InvariantError, ParallelDivergenceError, _check_int
+from .errors import InvariantError, ParallelDivergenceError, _check_int, _check_rates
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, flip_noise
 from .recognize import RecognitionResult, RecognizerModel, _dense_view, recognize, repeat_recognize
@@ -168,11 +168,7 @@ def noise_sweep(
     :class:`ReportRow`) over those keys. Nothing is timed, so no point depends
     on ``plan`` or ``runs``; ``runs`` is still validated, as ``bench`` does.
     """
-    if not rates:
-        raise ValueError("rates must be nonempty")
-    for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"flip rate must lie in [0, 1], got {rate}")
+    _check_rates(rates)
     _check_int("runs", runs, 1)
     _check_int("seed", seed, 0)
     points: list[SweepPoint] = []
@@ -249,5 +245,5 @@ def write_sweep_csv(points: list[SweepPoint], path) -> Path:
     return _write_csv(
         path,
         ["rate", "top1_accuracy", "mean_best_match_pct"],
-        ([repr(p.rate), f"{p.top1_accuracy:.4f}", f"{p.mean_best_match_pct:.2f}"] for p in points),
+        ([repr(float(p.rate)), f"{p.top1_accuracy:.4f}", f"{p.mean_best_match_pct:.2f}"] for p in points),
     )

@@ -9,6 +9,11 @@ dimension mismatches), 2 usage error, 3 internal invariant breach.
 Thread count resolution: ``--threads`` flag, then ``AMN_THREADS``, then the
 hardware thread count; a flag or variable above ``MAX_THREADS`` (256) is a
 usage error.
+
+The CLI checks no flag value itself: each is judged by the rule of the
+library call it feeds (``ExecPlan``, ``BinarizePolicy``, ``errors._check_int``
+and ``errors._check_rates``), and a value that rule rejects is a usage error
+carrying the library's message.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .bench import (
     write_sweep_csv,
 )
 from .core import format_pct
-from .errors import AmnError, InvariantError
+from .errors import AmnError, InvariantError, _check_int, _check_rates
 from .parallel import MAX_THREADS, ExecPlan
 from .patterns import (
     BinarizePolicy,
@@ -46,49 +51,36 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _rates_list(raw: str) -> list[float]:
-    try:
-        rates = [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad rate list {raw!r}") from None
-    if not rates:
-        raise argparse.ArgumentTypeError("rate list is empty")
-    for r in rates:
-        if not 0.0 <= r <= 1.0:
-            raise argparse.ArgumentTypeError(f"rate {r} outside [0, 1]")
-    return rates
+def _checked(convert, check):
+    """An argparse type: ``convert`` the raw string, then ``check`` it by the library's rule.
 
-
-def _int_arg(lo: int, hi: int | None, message: str):
-    """An argparse type accepting integers in [lo, hi]; ``hi=None`` leaves it open.
-
-    An out-of-range value is rejected with ``message.format(value)``.
+    A ``ValueError`` from either becomes an ``ArgumentTypeError``, so argparse
+    reports it with the flag's name and exits with a usage error.
     """
 
-    def parse(raw: str) -> int:
+    def parse(raw: str):
         try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{raw!r} is not an integer") from None
-        if value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(message.format(value))
+            value = convert(raw)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return parse
 
 
-_positive_int = _int_arg(1, None, "{} must be >= 1")
-_threshold_arg = _int_arg(0, 255, "threshold {} outside [0, 255]")
-_seed_arg = _int_arg(0, None, "seed must be non-negative")
+_runs_arg = _checked(int, lambda v: _check_int("runs", v, 1))
+_seed_arg = _checked(int, lambda v: _check_int("seed", v, 0))
+_rates_arg = _checked(lambda raw: [float(part) for part in raw.split(",") if part.strip()], _check_rates)
 
 
 def _add_plan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--threads", type=_positive_int, default=None,
+        "--threads", type=int, default=None,
         help=f"worker count, at most {MAX_THREADS} (default: AMN_THREADS or all cores)",
     )
     sub.add_argument(
-        "--chunk", type=_positive_int, default=None,
+        "--chunk", type=int, default=None,
         help="indices per block (default: ceil(n/threads))",
     )
 
@@ -96,9 +88,7 @@ def _add_plan_flags(sub: argparse.ArgumentParser) -> None:
 def _add_store_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--store", required=True, help="label,path manifest CSV of the stored alphabet")
     sub.add_argument("--mode", choices=MODES, default="superposed", help="recognition mode")
-    sub.add_argument(
-        "--threshold", type=_threshold_arg, default=128, help="binarize threshold in [0, 255]"
-    )
+    sub.add_argument("--threshold", type=int, default=128, help="binarize threshold in [0, 255]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = commands.add_parser("ingest", help="decode BMP glyphs and write AMNPAT pattern files")
     ingest.add_argument("inputs", nargs="+", help="BMP files and/or directories of .bmp files")
     ingest.add_argument("--out", required=True, help="output directory for .amnpat files")
-    ingest.add_argument("--threshold", type=_threshold_arg, default=128, help="binarize threshold in [0, 255]")
+    ingest.add_argument("--threshold", type=int, default=128, help="binarize threshold in [0, 255]")
     ingest.set_defaults(func=cmd_ingest)
 
     rec = commands.add_parser("recognize", help="rank one key pattern against the stored alphabet")
@@ -123,17 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser("bench", help="timed serial vs parallel benchmark over a key set")
     _add_store_flags(bench)
     bench.add_argument("--keys", required=True, help="directory of key files, or a label,path manifest CSV")
-    bench.add_argument("--runs", type=_positive_int, default=5, help="timed repetitions per path per key")
+    bench.add_argument("--runs", type=_runs_arg, default=5, help="timed repetitions per path per key")
     bench.add_argument("--out", default=".", help="directory for report/matching_levels/speedup CSVs")
     _add_plan_flags(bench)
     bench.set_defaults(func=cmd_bench)
 
     sweep = commands.add_parser("noise-sweep", help="accuracy vs synthetic flip noise on the stored alphabet")
     _add_store_flags(sweep)
-    sweep.add_argument("--rates", required=True, type=_rates_list, help="comma-separated flip rates in [0, 1]")
+    sweep.add_argument("--rates", required=True, type=_rates_arg, help="comma-separated flip rates in [0, 1]")
     sweep.add_argument("--seed", required=True, type=_seed_arg, help="base seed for the noise generator")
     sweep.add_argument(
-        "--runs", type=_positive_int, default=1, help="accepted as for bench; the sweep times nothing and ignores it"
+        "--runs", type=_runs_arg, default=1, help="accepted as for bench; the sweep times nothing and ignores it"
     )
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
     _add_plan_flags(sweep)
@@ -154,7 +144,6 @@ def _collect_bmp_inputs(raw_inputs: list[str]) -> list[Path]:
 
 
 def cmd_ingest(args) -> int:
-    policy = BinarizePolicy(threshold=args.threshold)
     files = _collect_bmp_inputs(args.inputs)
     if not files:
         print("error: no inputs", file=sys.stderr)
@@ -167,7 +156,7 @@ def cmd_ingest(args) -> int:
         try:
             if path.stem in written:
                 raise AmnError(f"output {path.stem}.amnpat already written from {written[path.stem]}")
-            pattern = pixels_to_pattern(decode_bmp(path.read_bytes()), policy)
+            pattern = pixels_to_pattern(decode_bmp(path.read_bytes()), args.policy)
             out_path = out_dir / (path.stem + ".amnpat")
             out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
         except (AmnError, OSError, ValueError) as exc:  # ValueError: a stem that cannot be a label
@@ -180,14 +169,12 @@ def cmd_ingest(args) -> int:
 
 
 def _build_model_from_args(args):
-    policy = BinarizePolicy(threshold=args.threshold)
-    entries = load_manifest(args.store, policy)
-    return build_model(entries, args.mode), policy
+    return build_model(load_manifest(args.store, args.policy), args.mode)
 
 
 def cmd_recognize(args) -> int:
-    model, policy = _build_model_from_args(args)
-    key = load_pattern_file(args.key, policy)
+    model = _build_model_from_args(args)
+    key = load_pattern_file(args.key, args.policy)
     if args.mode == "literal":
         print(
             "note: literal mode reproduces the single-pair training rule, which "
@@ -211,8 +198,8 @@ def _load_keyset(raw: str, policy: BinarizePolicy) -> list[LabeledPattern]:
 
 
 def cmd_bench(args) -> int:
-    model, policy = _build_model_from_args(args)
-    keys = _load_keyset(args.keys, policy)
+    model = _build_model_from_args(args)
+    keys = _load_keyset(args.keys, args.policy)
     plan = args.plan
     rows = run_benchmark(model, keys, plan, runs=args.runs)
     out_dir = Path(args.out)
@@ -231,7 +218,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    model, _ = _build_model_from_args(args)
+    model = _build_model_from_args(args)
     points = noise_sweep(model, args.rates, args.seed, args.plan, runs=args.runs)
     write_sweep_csv(points, args.out)
     for p in points:
@@ -242,11 +229,12 @@ def cmd_noise_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "threads"):
-        try:  # a bad AMN_THREADS, or either above MAX_THREADS, is a usage error
+    try:  # a flag the library rejects, or a bad AMN_THREADS, is a usage error
+        args.policy = BinarizePolicy(threshold=args.threshold)
+        if hasattr(args, "threads"):
             args.plan = ExecPlan(threads=args.threads, chunk=args.chunk)
-        except ValueError as exc:
-            parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except InvariantError as exc:

@@ -23,7 +23,6 @@ from .errors import MemoryBudgetError, _check_int
 from .patterns import Pattern, _from_mask
 
 __all__ = [
-    "MAX_WEIGHT_BYTES",
     "ActivationVector",
     "zero_weights",
     "train_pair",

@@ -2,10 +2,19 @@
 
 Data problems (bad files, bad manifests) raise ``AmnError`` subclasses so
 callers can tell them from programming errors (``ValueError``, such as a bad
-count, see ``_check_int``) and from invariant breaches (``InvariantError``).
+count or flip rate, see ``_check_int`` and ``_check_rates``) and from
+invariant breaches (``InvariantError``).
 """
 
+import numbers
+
 import numpy as np
+
+__all__ = [
+    "AmnError", "BmpError", "BmpHeaderError", "BmpCompressionError", "BmpBitDepthError", "BmpPaletteError",
+    "BmpTruncatedError", "PatternFormatError", "ManifestError", "MemoryBudgetError",
+    "InvariantError", "ParallelDivergenceError",
+]
 
 
 class AmnError(Exception):
@@ -68,3 +77,18 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
         raise ValueError(f"{name} must be at most {hi}, got {value}")
+
+
+def _check_rates(rates) -> None:
+    """Raise ``ValueError`` unless ``rates`` is nonempty and each rate is a real number in [0, 1].
+
+    The one rule for flip rates: ``int``, ``float``, ``Fraction`` and NumPy
+    numbers pass; bool, strings, ``None`` and complex numbers do not.
+    """
+    if len(rates) == 0:
+        raise ValueError("rates must be nonempty")
+    for rate in rates:
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ValueError(f"flip rate must be a real number, got {rate!r}")
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"flip rate must lie in [0, 1], got {rate}")

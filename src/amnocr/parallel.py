@@ -28,7 +28,7 @@ from .core import ActivationVector, _check_weight_budget, _check_weights
 from .errors import _check_int
 from .patterns import Pattern
 
-__all__ = ["MAX_THREADS", "ExecPlan", "partition_static", "par_train_pair", "par_net_input"]
+__all__ = ["ExecPlan", "partition_static", "par_train_pair", "par_net_input"]
 
 THREADS_ENV_VAR = "AMN_THREADS"
 
@@ -81,7 +81,6 @@ class ExecPlan:
 class IndexAssignment:
     """Half-open index ranges per worker; a disjoint exact cover of 0..n."""
 
-    n: int
     ranges: tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -96,7 +95,7 @@ def partition_static(n: int, plan: ExecPlan) -> IndexAssignment:
     per_worker: list[list[tuple[int, int]]] = [[] for _ in range(plan.threads)]
     for b, start in enumerate(range(0, n, chunk)):
         per_worker[b % plan.threads].append((start, min(start + chunk, n)))
-    return IndexAssignment(n=n, ranges=tuple(tuple(r) for r in per_worker))
+    return IndexAssignment(ranges=tuple(tuple(r) for r in per_worker))
 
 
 def _run_team(assignment: IndexAssignment, work) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bmp import PixelGrid, _Grid, decode_bmp
-from .errors import InvariantError, ManifestError, PatternFormatError, _check_int
+from .errors import InvariantError, ManifestError, PatternFormatError, _check_int, _check_rates
 
 __all__ = [
     "Pattern",
@@ -275,10 +275,9 @@ def flip_noise(pattern: Pattern, rate: float, seed: int) -> Pattern:
     give the same output. The flip count uses Python ``round`` semantics
     (ties at exact halves go to the even count).
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"flip rate must lie in [0, 1], got {rate}")
+    _check_rates([rate])
     _check_int("seed", seed, 0)
-    flips = round(rate * pattern.n)
+    flips = int(round(rate * pattern.n))  # NumPy 1.x's round of a NumPy float is a NumPy float
     rng = np.random.default_rng(seed)
     indices = rng.permutation(pattern.n)[:flips]
     cells = pattern.cells.copy()

@@ -391,6 +391,15 @@ def test_sweep_csv_round_trip(ortho_model, tmp_path):
     assert float(parsed[0]["mean_best_match_pct"]) == 100.0
 
 
+def test_sweep_csv_is_the_same_for_numpy_float_rates(ortho_model, tmp_path):
+    numpy_rates = list(np.linspace(0, 0.5, 3))
+    assert all(type(rate) is np.float64 for rate in numpy_rates)
+    numpy_csv = write_sweep_csv(noise_sweep(ortho_model, numpy_rates, seed=7), tmp_path / "numpy.csv")
+    float_csv = write_sweep_csv(noise_sweep(ortho_model, [0.0, 0.25, 0.5], seed=7), tmp_path / "float.csv")
+    assert numpy_csv.read_bytes() == float_csv.read_bytes()
+    assert [line.split(",")[0] for line in float_csv.read_text().splitlines()] == ["rate", "0.0", "0.25", "0.5"]
+
+
 def test_sweep_is_deterministic(ortho_model):
     a = noise_sweep(ortho_model, [0.1, 0.3], seed=11, runs=1)
     b = noise_sweep(ortho_model, [0.1, 0.3], seed=11, runs=1)

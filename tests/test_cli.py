@@ -368,20 +368,28 @@ def test_noise_sweep_never_builds_the_weight_matrix(tmp_path, monkeypatch, mode)
 # --- misc ---
 
 
-def test_bad_flag_values_are_usage_errors(tmp_path):
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
+    # Each flag value is judged by the library's rule and reported with its message.
     manifest, _, _ = _write_store(tmp_path, order=4)
-    for argv in (
-        ["recognize", "--store", str(manifest), "--key", "k", "--threshold", "300"],
-        ["recognize", "--store", str(manifest), "--key", "k", "--runs", "0"],
-        ["bench", "--store", str(manifest), "--keys", "k", "--threads", "0"],
-        ["noise-sweep", "--store", str(manifest), "--rates", "0.1", "--seed", "-4"],
-        ["noise-sweep", "--store", str(manifest), "--rates", "a,b", "--seed", "1"],
-        ["noise-sweep", "--store", str(manifest), "--rates", ",", "--seed", "1"],
-        ["bench", "--store", str(manifest), "--keys", str(manifest), "--runs", "x"],
+    for argv, message in (
+        (["recognize", "--store", str(manifest), "--key", "k", "--threshold", "300"],
+         "threshold must be at most 255, got 300"),
+        (["recognize", "--store", str(manifest), "--key", "k", "--runs", "0"], "unrecognized arguments: --runs 0"),
+        (["bench", "--store", str(manifest), "--keys", "k", "--threads", "0"], "threads must be >= 1, got 0"),
+        (["noise-sweep", "--store", str(manifest), "--rates", "0.1", "--seed", "-4"], "seed must be >= 0, got -4"),
+        (["noise-sweep", "--store", str(manifest), "--rates", "a,b", "--seed", "1"], "--rates: could not convert"),
+        (["noise-sweep", "--store", str(manifest), "--rates", ",", "--seed", "1"], "rates must be nonempty"),
+        (["bench", "--store", str(manifest), "--keys", str(manifest), "--runs", "x"], "--runs: invalid literal"),
+        (["bench", "--store", str(manifest), "--keys", "k", "--runs", "0"], "runs must be >= 1, got 0"),
+        (["bench", "--store", str(manifest), "--keys", "k", "--chunk", "0"], "chunk must be >= 1, got 0"),
+        (["ingest", "x.bmp", "--out", str(tmp_path), "--threshold", "-1"], "threshold must be >= 0, got -1"),
+        (["noise-sweep", "--store", str(manifest), "--rates", "0,1.5", "--seed", "1"],
+         "flip rate must lie in [0, 1], got 1.5"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
