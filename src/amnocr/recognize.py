@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from .patterns import LabeledPattern, Pattern, _from_mask
 __all__ = ["RecognizerModel", "RecognitionResult", "build_model", "recognize", "repeat_recognize"]
 
 MODES = ("superposed", "literal")
+_HUNDRED = Fraction(100)  # every literal score; Fractions are immutable, so one object serves every call
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +87,16 @@ class RecognizerModel:
         return tuple(e.label for e in self.entries)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RecognitionResult:
     """Per-label match percentages plus the winning label.
 
     ``scores`` maps every stored label to an exact rational percentage in
     [0, 100]; ``predicted`` attains the maximum (ties go to the
-    lexicographically smallest label). ``timings_ns`` carries one wall-clock
-    sample per run when produced by :func:`repeat_recognize`.
+    lexicographically smallest label). Labels with the same score may share
+    one ``Fraction`` object. ``timings_ns`` carries one wall-clock sample per
+    run when produced by :func:`repeat_recognize`. The class has slots and no
+    ``__dict__``, since one result is built per key.
     """
 
     predicted: str
@@ -180,19 +184,30 @@ def _argmax_label(scores: dict) -> str:
     return min(label for label, s in scores.items() if s == best)
 
 
-def _ranked(model: RecognizerModel, agree: list[int]) -> tuple[str, dict[str, Fraction]]:
+def _ranked(model: RecognizerModel, agree: Iterable[int]) -> tuple[str, dict[str, Fraction]]:
     """``(predicted, scores)`` from per-label agreeing cell counts, as ``match_score`` scores them.
 
-    Superposed recall and literal dense recall both rank through it.
-    ``agree`` holds one Python ``int`` per entry, in entry order. The
-    percentage 100 * count / n rises with the count, so the winner is read
-    from the integer counts. One ``Fraction`` is built per distinct count and
-    shared by the labels that have it; ``Fraction``s are immutable.
+    Superposed recall, factored or dense, and literal dense recall all rank
+    through it. ``agree`` yields one Python ``int`` per entry, in entry
+    order. One pass over the entries fills the scores, builds one
+    ``Fraction(100 * count, n)`` per distinct count, shared by the labels
+    that have it (``Fraction``s are immutable), and picks the winner from the
+    integer counts, as the percentage rises with the count: the highest
+    count, ties going to the smallest label.
     """
     n = model.n
-    counts = dict(zip(model.labels, agree))
-    pct = {c: Fraction(100 * c, n) for c in set(agree)}
-    return _argmax_label(counts), {label: pct[c] for label, c in counts.items()}
+    by_count: dict[int, Fraction] = {}
+    scores: dict[str, Fraction] = {}
+    best, predicted = -1, ""
+    for e, c in zip(model.entries, agree):
+        label = e.label
+        score = by_count.get(c)
+        if score is None:
+            score = by_count[c] = Fraction(100 * c, n)
+        scores[label] = score
+        if c > best or (c == best and label < predicted):
+            best, predicted = c, label
+    return predicted, scores
 
 
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
@@ -204,16 +219,17 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
     stack's dtype (see :func:`build_model`); it never calls BLAS, which
     would start threads of its own. The net input is thresholded in that
-    dtype too, a > 0. The winner is picked from integer agreement counts.
+    dtype too, a > 0. The agreement counts reach :func:`_ranked` as Python
+    ints one at a time, which scores them and picks the winner in one pass.
     Literal mode does no arithmetic: training a fresh matrix on (key, t) and
     recalling with the key gives the net input (key·key)·t with key·key =
     n > 0, so it recalls every stored target t itself, in the key's
     geometry: the stored pattern itself when the geometries match, the same
-    cells reshaped otherwise. Every label then scores one shared
-    ``Fraction(100)``. ``plan`` drives only the dense kernels that ``bench``
-    times: there it runs them on the data-parallel path, which is
-    bit-identical to the serial one, so results never depend on thread
-    count or chunk size.
+    cells reshaped otherwise. Every label then scores the one module-level
+    ``Fraction(100)``, shared by every call. ``plan`` drives only the dense
+    kernels that ``bench`` times: there it runs them on the data-parallel
+    path, which is bit-identical to the serial one, so results never depend
+    on thread count or chunk size.
     """
     if key.n != model.n:
         raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
@@ -230,10 +246,11 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
             # The net input a = Pᵀ·overlaps is exact in p's dtype, so it is thresholded there, unnamed:
             # it is freed as soon as the mask a > 0 exists.
             recalled = _from_mask(key.width, key.height, np.einsum("k,kn->n", overlaps, p) > 0)
-        # Bipolar cells agree in (n + p·r) / 2 positions, so this equals
-        # match_score(recalled, target) per label, in exact integers; int64, as Fraction takes no floats.
-        agree = ((model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2).astype(np.int64)
-        predicted, scores = _ranked(model, agree.tolist())
+        # Bipolar cells agree in (n + p·r) / 2 positions, so this equals match_score(recalled, target)
+        # per label, an exact integer in p's dtype. A memoryview yields each as a Python float, which
+        # int() makes the int Fraction needs, one at a time: no int64 array, no list of k numbers.
+        agree = (model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2
+        predicted, scores = _ranked(model, map(int, memoryview(agree)))
         return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
 
     # Literal mode: every label recalls its own target, so all tie at 100 and the smallest label wins.
@@ -243,7 +260,7 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
         # The same n cells in the key's geometry, as the dense path shapes its recall.
         target = _from_mask(key.width, key.height, target.cells > 0)
     # A stored pattern is frozen and its cells read-only, so the result can share it.
-    return RecognitionResult(predicted=winner.label, scores=dict.fromkeys(model.labels, Fraction(100)), recalled=target)
+    return RecognitionResult(predicted=winner.label, scores=dict.fromkeys(model.labels, _HUNDRED), recalled=target)
 
 
 def _recall_dense(w: np.ndarray, key: Pattern, plan: ExecPlan | None) -> Pattern:
@@ -274,6 +291,9 @@ def repeat_recognize(
 
     The algorithm is deterministic, so the mean per-label score equals any
     single run's score; the repetition exists to collect timing samples.
+    When every run's scores equal the first run's, they are the mean, and
+    the first run's scores and winner are returned as they are; otherwise
+    the exact mean is computed and its winner picked.
     """
     _check_int("runs", runs, 1)
     per_run: list[RecognitionResult] = []
@@ -283,12 +303,13 @@ def repeat_recognize(
         result = recognize(model, key, plan)
         timings.append(time.perf_counter_ns() - t0)
         per_run.append(result)
-    mean_scores = {
-        label: sum(r.scores[label] for r in per_run) / runs for label in per_run[0].scores
-    }
+    predicted, scores = per_run[0].predicted, per_run[0].scores
+    if any(r.scores != scores for r in per_run[1:]):
+        scores = {label: sum(r.scores[label] for r in per_run) / runs for label in scores}
+        predicted = _argmax_label(scores)
     return RecognitionResult(
-        predicted=_argmax_label(mean_scores),
-        scores=mean_scores,
+        predicted=predicted,
+        scores=scores,
         recalled=per_run[-1].recalled,
         runs=runs,
         timings_ns=tuple(timings),

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amnocr import (
     ExecPlan,
@@ -196,6 +198,20 @@ def test_repeat_mean_of_identical_values_is_exact(hadamard_model):
     assert five.scores[five.predicted] == Fraction(100)
 
 
+def test_repeat_takes_the_exact_mean_when_runs_differ(hadamard_model, monkeypatch):
+    # recognize is deterministic, so only a stand-in can make runs differ: 3 runs of the
+    # first scores and 2 of the second. The mean's winner is not the first run's.
+    first = RecognitionResult(predicted="b", scores={"a": Fraction(100, 3), "b": Fraction(50)}, recalled=bipolar([1]))
+    second = RecognitionResult(predicted="a", scores={"a": Fraction(90), "b": Fraction(1, 7)}, recalled=bipolar([-1]))
+    calls = iter([first, second] * 3)
+    monkeypatch.setattr(importlib.import_module("amnocr.recognize"), "recognize", lambda *args: next(calls))
+    five = repeat_recognize(hadamard_model, hadamard_model.entries[0].pattern, runs=5)
+    assert five.scores == {"a": Fraction(56), "b": Fraction(1052, 35)}
+    assert five.predicted == "a"
+    assert five.recalled is first.recalled  # the last run's
+    assert (five.runs, len(five.timings_ns)) == (5, 5)
+
+
 def test_repeat_rejects_zero_runs(hadamard_model):
     with pytest.raises(ValueError, match="runs"):
         repeat_recognize(hadamard_model, hadamard_model.entries[0].pattern, runs=0)
@@ -354,6 +370,55 @@ def test_equal_counts_share_one_fraction():
     assert superposed.scores["z"] is superposed.scores["b"]
     literal = recognize(build_model(entries, mode="literal"), other)
     assert len({id(s) for s in literal.scores.values()}) == 1
+
+
+def test_literal_recognitions_share_one_hundred():
+    model = build_model(labeled(hadamard_rows(4)), mode="literal")
+    first = recognize(model, model.entries[0].pattern)
+    second = recognize(model, model.entries[3].pattern)
+    assert first.scores["a"] is second.scores["d"]
+    assert first.scores["a"] == Fraction(100)
+
+
+def test_recognition_result_has_slots_and_no_dict(hadamard_model):
+    result = recognize(hadamard_model, hadamard_model.entries[0].pattern)
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(AttributeError):
+        result.note = "x"
+    other = dataclasses.replace(result, predicted="z", runs=3)
+    assert (other.predicted, other.runs, other.scores, other.recalled) == ("z", 3, result.scores, result.recalled)
+    assert result.predicted == "a"
+
+
+# Small stores whose labels are not in sorted order and whose glyphs repeat, so labels tie.
+@st.composite
+def _tied_stores(draw):
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n), min_size=1, max_size=4))
+    k = draw(st.integers(1, 7))
+    glyphs = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k))]
+    labels = draw(st.permutations(["q", "b", "zz", "a", "m", "ab", "c"]))[:k]
+    key = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return [LabeledPattern(lbl, bipolar(g)) for lbl, g in zip(labels, glyphs)], bipolar(key)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(store=_tied_stores())
+def test_one_pass_ranking_matches_match_score_per_label(store):
+    entries, key = store
+    recalled = recall(store_patterns([e.pattern for e in entries]), key)
+    scores = {e.label: match_score(recalled, e.pattern) for e in entries}
+    predicted = min(scores, key=lambda label: (-scores[label], label))
+    model = build_model(entries)
+    for view in (model, _dense_view(model)):
+        result = recognize(view, key)
+        assert result.scores == scores
+        assert list(result.scores) == [e.label for e in entries]
+        assert result.predicted == predicted
+        assert result.recalled == recalled
+    literal = recognize(_dense_view(build_model(entries, mode="literal")), key)
+    assert literal.scores == dict.fromkeys(scores, 100)
+    assert literal.predicted == min(scores)
 
 
 def test_weights_check_the_memory_budget(monkeypatch):
