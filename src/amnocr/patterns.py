@@ -4,11 +4,23 @@ A :class:`Pattern` is a fixed-length vector over {+1, -1} with width/height
 metadata, the unit every kernel in this package consumes. This module covers
 the conversions around it: binarizing decoded pixel grids, the AMNPAT v1
 text format, store manifests, and deterministic synthetic noise.
+
+AMNPAT text is read on one of two paths. Text laid out exactly as
+:func:`write_pattern_text` writes it (a one-line header, then ``height`` rows
+of ``width`` tokens, one space between tokens and ``"\\n"`` after each row)
+is decoded straight from its UTF-8 bytes in fixed-stride views: an ASCII
+file's bytes as read, or a str's encoding. Everything else goes to the line
+reader: CRLF or CR line ends, any other line boundary, blank or trailing
+lines, non-ASCII rows and every malformed text. Both paths parse the header
+with one function. Only the line reader judges rows and tokens, and it
+decodes the rows it has checked with the same fixed-stride code, so a text
+reads the same, or fails with the same error, on either path.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +44,9 @@ __all__ = [
 AMNPAT_MAGIC = "AMNPAT"
 AMNPAT_VERSION = "1"
 
-_ONE, _MINUS_ONE = ord("1"), 0xFF  # the bytes read_pattern_text turns "1" and "-1" tokens into
+# The byte that stands for a "-1" token while text is bytes: no ASCII or
+# UTF-8 text holds it, so it cannot clash with a label.
+_MINUS_ONE = b"\xff"
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +123,11 @@ def _from_mask(width: int, height: int, mask: np.ndarray) -> Pattern:
     cells = mask.astype(np.int8)
     cells *= 2
     cells -= 1
+    return _adopt(width, height, cells)
+
+
+def _adopt(width: int, height: int, cells: np.ndarray) -> Pattern:
+    """The pattern that takes ``cells``, fresh int8 +-1 cells of its geometry, as they are: no scan, no copy."""
     cells.setflags(write=False)
     pattern = object.__new__(Pattern)  # skips __post_init__
     # Set as the frozen dataclass sets its fields; reading __dict__ would give each pattern its own dict.
@@ -126,61 +145,126 @@ def write_pattern_text(pattern: Pattern, label: str) -> str:
     no trailing spaces.
     """
     _check_label(label)
-    # One sign byte and one separator byte per cell, then "0" widens to "-1".
-    body = np.empty((pattern.height, pattern.width, 2), dtype=np.uint8)
-    body[..., 0] = pattern.rows() > 0
-    body[..., 0] += ord("0")
+    # surrogatepass round-trips any str label, lone surrogates too.
+    head = f"{AMNPAT_MAGIC} {AMNPAT_VERSION} {pattern.width} {pattern.height} {label}\n".encode(
+        "utf-8", "surrogatepass"
+    )
+    # The header, then one sign byte and one separator byte per cell, in one
+    # buffer: int8 +1 and -1 are the bytes 0x01 and 0xFF, and "| 0x30" makes
+    # them "1" and the "-1" placeholder, which widens in the one replace.
+    text = bytearray(len(head) + 2 * pattern.n)
+    text[: len(head)] = head
+    body = np.frombuffer(text, dtype=np.uint8, offset=len(head)).reshape(pattern.height, pattern.width, 2)
+    np.bitwise_or(pattern.rows().view(np.uint8), ord("0"), out=body[..., 0])
     body[..., 1] = ord(" ")
     body[:, -1, 1] = ord("\n")
-    header = f"{AMNPAT_MAGIC} {AMNPAT_VERSION} {pattern.width} {pattern.height} {label}\n"
-    return header + body.tobytes().replace(b"0", b"-1").decode("ascii")
+    del body  # the view keeps the buffer alive; without it the buffer is freed once replaced
+    text = text.replace(_MINUS_ONE, b"-1")
+    return text.decode("utf-8", "surrogatepass")
 
 
 def read_pattern_text(text: str) -> tuple[Pattern, str]:
-    """Parse AMNPAT v1 text; exact inverse of :func:`write_pattern_text`."""
-    lines = text.splitlines()
-    if not lines:
-        raise PatternFormatError("empty pattern text")
-    header = lines[0].split(" ", 4)
+    """Parse AMNPAT v1 text; exact inverse of :func:`write_pattern_text`.
+
+    Text in the written layout, whatever its label, is decoded from its
+    UTF-8 bytes; any other text, and every malformed one, goes through the
+    line reader, which raises the :class:`PatternFormatError` that names the
+    fault.
+    """
+    return _read_written(text.encode("utf-8", "surrogatepass")) or _read_lines(text)
+
+
+def _read_header(line: str) -> tuple[int, int, str]:
+    """The width, height and label of an AMNPAT header line."""
+    header = line.split(" ", 4)
     if header[0] != AMNPAT_MAGIC:
         raise PatternFormatError(f"bad magic {header[0]!r}, expected {AMNPAT_MAGIC!r}")
     if len(header) < 5:
-        raise PatternFormatError(f"malformed header line {lines[0]!r}")
+        raise PatternFormatError(f"malformed header line {line!r}")
     if header[1] != AMNPAT_VERSION:
         raise PatternFormatError(f"unsupported format version {header[1]!r}")
     try:
         width, height = int(header[2]), int(header[3])
     except ValueError:
-        raise PatternFormatError(f"non-integer dimensions in header {lines[0]!r}") from None
+        raise PatternFormatError(f"non-integer dimensions in header {line!r}") from None
     label = header[4]
     if width < 1 or height < 1 or not label:
-        raise PatternFormatError(f"malformed header line {lines[0]!r}")
+        raise PatternFormatError(f"malformed header line {line!r}")
+    return width, height, label
 
+
+def _read_written(raw: bytes) -> tuple[Pattern, str] | None:
+    """Parse ``raw`` laid out exactly as :func:`write_pattern_text` lays it out, or return ``None``.
+
+    ``raw`` is UTF-8, lone surrogates allowed, so it holds no ``_MINUS_ONE``
+    byte. A header line with no line boundary of ``str.splitlines`` in it is
+    the line reader's first line too, so its errors are raised here as they
+    are there. Any other departure from the layout returns ``None``.
+    """
+    end = raw.find(b"\n")
+    if end < 0:
+        return None
+    line = raw[:end].decode("utf-8", "surrogatepass")
+    if line.splitlines() != [line]:
+        return None
+    width, height, label = _read_header(line)
+    codes = raw.replace(b"-1", _MINUS_ONE)  # a "-1" in the label shifts the body too
+    cells = _decode_rows(codes, codes.index(b"\n") + 1, width, height)
+    return None if cells is None else (_adopt(width, height, cells), label)
+
+
+def _decode_rows(codes: bytes, start: int, width: int, height: int) -> np.ndarray | None:
+    """The cells of the rows ``codes[start:]`` holds, each "-1" token already one ``_MINUS_ONE`` byte.
+
+    The rows must be ``height`` lines of ``width`` tokens, "1" or
+    ``_MINUS_ONE``, with one space between tokens and "\\n" after each row:
+    tokens at even offsets and separators at odd ones. Anything else returns
+    ``None``. The checks are reductions, so the cells are the one array
+    made.
+    """
+    n = width * height
+    if len(codes) - start != 2 * n:
+        return None
+    pairs = np.frombuffer(codes, dtype=np.uint8, count=2 * n, offset=start)
+    seps = pairs[1::2].reshape(height, width)
+    if width > 1 and not seps[:, :-1].min() == ord(" ") == seps[:, :-1].max():
+        return None
+    if not seps[:, -1].min() == ord("\n") == seps[:, -1].max():
+        return None
+    # As int8 the tokens are 49 and -1. The only bytes at least 49 as uint8
+    # and between -1 and 49 as int8 are those two, so three bounds check them;
+    # np.minimum then makes 49 a +1 cell and leaves -1 a -1 cell.
+    cells = pairs[0::2].view(np.int8).copy()
+    if cells.min() < -1 or cells.max() > ord("1") or cells.view(np.uint8).min() < ord("1"):
+        return None
+    return np.minimum(cells, 1, out=cells)
+
+
+def _read_lines(text: str) -> tuple[Pattern, str]:
+    """Parse AMNPAT v1 text line by line, raising the error that names its first fault."""
+    lines = text.splitlines()
+    if not lines:
+        raise PatternFormatError("empty pattern text")
+    width, height, label = _read_header(lines[0])
     body = lines[1:]
     found = sum(1 for line in body if line.strip())
     if found != height:
         raise PatternFormatError(f"row count mismatch: header says {height}, found {found} rows")
     rows = body[:height]
+    del lines, body
     for r, line in enumerate(rows):  # before allocating, so the text bounds the cell count
         if line.count(" ") + 1 != width:
             raise PatternFormatError(
                 f"column count mismatch at row {r}: expected {width} tokens, got {line.count(' ') + 1}"
             )
-    # Every character becomes one byte and every "-1" one 0xFF byte, which
-    # ASCII bytes never are. The rows hold width * height - 1 spaces, so the
-    # tokens are all "1" or "-1" exactly when that leaves 2 * width * height - 1
-    # bytes with "1" or 0xFF at every even position. The dels keep one copy of
-    # the rows alive at a time.
-    joined = " ".join(rows)
-    del lines, body, rows
-    ascii_rows = joined.encode("ascii", "replace")
-    del joined
-    codes = np.frombuffer(ascii_rows.replace(b"-1", bytes([_MINUS_ONE])), dtype=np.uint8)
-    del ascii_rows
-    tokens = codes[0::2]
-    if codes.size != 2 * width * height - 1 or not np.all((tokens == _ONE) | (tokens == _MINUS_ONE)):
-        _raise_first_bad_token(text.splitlines()[1 : height + 1])
-    return _from_mask(width, height, tokens == _ONE), label
+    # The rows now hold width space-separated fields each, so they are in the
+    # written layout exactly when every field is a token. A non-ASCII
+    # character becomes "?", which no token is.
+    codes = "\n".join([*rows, ""]).encode("ascii", "replace").replace(b"-1", _MINUS_ONE)
+    cells = _decode_rows(codes, 0, width, height)
+    if cells is None:
+        _raise_first_bad_token(rows)
+    return _adopt(width, height, cells), label
 
 
 def _raise_first_bad_token(rows: list[str]) -> None:
@@ -188,28 +272,34 @@ def _raise_first_bad_token(rows: list[str]) -> None:
         for token in line.split(" "):
             if token not in ("1", "-1"):
                 raise PatternFormatError(f"invalid token {token!r} at row {r} (must be 1 or -1)")
-    raise InvariantError("the bulk token check rejected rows that hold only 1 and -1")
+    raise InvariantError("the fixed-stride decoder rejected rows that hold only 1 and -1")
 
 
 def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) -> Pattern:
     """Load one glyph file, sniffing BMP ('BM') vs AMNPAT content.
 
     BMP files are decoded and binarized with ``policy``; AMNPAT files are
-    already bipolar (their embedded label is ignored here).
+    already bipolar (their embedded label is ignored here). A file larger
+    than ``core.MAX_WEIGHT_BYTES`` raises :class:`MemoryBudgetError` before
+    it is read.
     """
     path = Path(path)
-    data = path.read_bytes()
+    with open(path, "rb", buffering=0) as fh:
+        core._check_budget(str(path), os.fstat(fh.fileno()).st_size, "the file's contents")
+        data = fh.read()
     if data.startswith(b"BM"):
         return pixels_to_pattern(decode_bmp(data), policy or BinarizePolicy())
-    if data.startswith(AMNPAT_MAGIC.encode()):
+    if not data.startswith(AMNPAT_MAGIC.encode()):
+        raise PatternFormatError(f"{path}: neither a BMP nor an AMNPAT file")
+    read = _read_written(data) if data.isascii() else None  # no str made
+    if read is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PatternFormatError(f"{path}: AMNPAT text is not UTF-8: {exc}") from None
         del data  # the text repeats the file's bytes; keep one copy through the parse
-        pattern, _ = read_pattern_text(text)
-        return pattern
-    raise PatternFormatError(f"{path}: neither a BMP nor an AMNPAT file")
+        read = read_pattern_text(text)  # a non-ASCII text may still be in the written layout
+    return read[0]
 
 
 def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> list[LabeledPattern]:
@@ -283,3 +373,10 @@ def flip_noise(pattern: Pattern, rate: float, seed: int) -> Pattern:
     cells = pattern.cells.copy()
     cells[indices] = -cells[indices]
     return Pattern(width=pattern.width, height=pattern.height, cells=cells)
+
+
+# core imports Pattern and _from_mask from this module, so it is bound here,
+# after them, in whichever order the two are first imported. An import inside
+# load_pattern_file cost each file loaded about 2.5 us (2-vCPU KVM host,
+# Python 3.11.7).
+from . import core  # noqa: E402

@@ -3,6 +3,7 @@
 import os
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -37,6 +38,16 @@ def labeled(patterns, labels=None):
     if labels is None:
         labels = [chr(ord("a") + i) for i in range(len(patterns))]
     return [LabeledPattern(lbl, p) for lbl, p in zip(labels, patterns)]
+
+
+def peak_bytes(run):
+    """The most bytes ``run()`` holds at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def physical_cores():

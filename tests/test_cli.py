@@ -239,6 +239,18 @@ def test_bench_over_the_weight_budget_exits_1(tmp_path, capsys, monkeypatch, mod
     assert main(["recognize", "--store", str(manifest), "--key", str(key), "--mode", mode]) == 0
 
 
+def test_glyph_file_over_the_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # Each file's size is checked before it is read, the store's and the key's alike.
+    manifest, _, _ = _write_store(tmp_path, order=4)
+    key = tmp_path / "a.amnpat"
+    size = key.stat().st_size
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
+    assert main(["recognize", "--store", str(manifest), "--key", str(key)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} needs {size} bytes for the file's contents")
+    assert f"budget of {size - 1} bytes" in err
+
+
 def test_bench_keys_directory(tmp_path, capsys):
     manifest, labels, rows = _write_store(tmp_path, order=4)
     keys_dir = tmp_path / "keys"

@@ -151,6 +151,8 @@ def test_decode_bmp_arbitrary_pixel_bytes(data):
 # --- AMNPAT text ---
 
 TOKENS = st.sampled_from(["1", "-1", "1", "-1", "0", "", "+1", "x", "1 ", "\t1"])
+# A "-1" in a label is replaced with the body's before the body is located.
+MINUS_ONE_LABELS = st.sampled_from(["-1", "x-1", "-1 -1", "a b", "\u00e9-1"])
 DIMENSIONS = st.one_of(
     st.integers(-2, 6),
     st.sampled_from([10**12, 10**30, 2**63, "1_0", "٣", "0x4", "", " 4"]),
@@ -164,7 +166,7 @@ def amnpat_texts(draw):
     version = draw(st.sampled_from(["1", "1", "1", "2", ""]))
     rows = draw(st.lists(st.lists(TOKENS, max_size=7).map(" ".join), max_size=7))
     width, height = draw(DIMENSIONS), draw(st.one_of(DIMENSIONS, st.just(len(rows))))
-    label = draw(st.text(max_size=5))
+    label = draw(st.one_of(st.text(max_size=5), MINUS_ONE_LABELS))
     newline = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\r"]))
     return newline.join([f"{magic} {version} {width} {height} {label}", *rows]) + draw(st.sampled_from(["", "\n"]))
 
@@ -191,7 +193,12 @@ def test_read_pattern_text_near_format(text):
 
 
 @FUZZ
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1), st.text(min_size=1, max_size=8))
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.text(min_size=1, max_size=8), MINUS_ONE_LABELS),
+)
 def test_pattern_text_round_trips(width, height, seed, label):
     pattern = random_pattern(np.random.default_rng(seed), width * height, width=width, height=height)
     if label.splitlines() != [label]:  # would not stay on the header line
@@ -282,18 +289,24 @@ def test_load_manifest_near_format(entry_dir, text):
 CLI_RUNS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def _budget_needs(command, mode, k, n):
+def _budget_needs(command, mode, k, n, sizes):
     """The bytes each budget check of ``command`` asks for, in the order they are made.
 
-    A superposed model checks its int8 stack and float32 copy (5 * k * n);
-    superposed ``bench`` then builds W (a float product and its int64 copy,
-    16 * n * n). Literal ``bench`` starts from ``zero_weights`` (8 * n * n),
-    and each ``train_pair`` holds three n x n matrices (24 * n * n). Literal
-    ``recognize`` and ``noise-sweep`` check nothing.
+    Loading a glyph file first checks its size (``sizes``, the store's files
+    in manifest order), for the store and then for the keys. A superposed
+    model checks its int8 stack and float32 copy (5 * k * n); superposed
+    ``bench`` then builds W (a float product and its int64 copy, 16 * n * n).
+    Literal ``bench`` starts from ``zero_weights`` (8 * n * n), and each
+    ``train_pair`` holds three n x n matrices (24 * n * n). A literal model
+    checks nothing.
     """
-    if mode == "literal":
-        return [8 * n * n, 24 * n * n] if command == "bench" else []
-    return [5 * k * n, 16 * n * n] if command == "bench" else [5 * k * n]
+    model = [5 * k * n] if mode == "superposed" else []
+    dense = [8 * n * n, 24 * n * n] if mode == "literal" else [16 * n * n]
+    return {
+        "recognize": [*sizes, *model, sizes[0]],  # the key is the first glyph's file
+        "noise-sweep": [*sizes, *model],
+        "bench": [*sizes, *model, *sizes, *dense],  # the keys are the store's manifest
+    }[command]
 
 
 @CLI_RUNS
@@ -306,17 +319,20 @@ def _budget_needs(command, mode, k, n):
 def test_cli_exits_1_exactly_when_over_the_budget(order, command, mode, data):
     k = data.draw(st.integers(1, order), label="k")
     n = order
-    needs = _budget_needs(command, mode, k, n)
-    budget = max(0, data.draw(st.sampled_from(needs or [5 * k * n]), label="need") + data.draw(st.integers(-2, 2)))
     with tempfile.TemporaryDirectory() as raw:
         root = Path(raw)
-        lines = ["label,path"]
+        lines, sizes = ["label,path"], []
         for i, pattern in enumerate(hadamard_rows(order)[:k]):
             label = chr(ord("a") + i)
-            (root / f"{label}.amnpat").write_text(write_pattern_text(pattern, label), encoding="utf-8")
-            lines.append(f"{label},{label}.amnpat")
+            entry = root / f"{label}.amnpat"
+            entry.write_text(write_pattern_text(pattern, label), encoding="utf-8")
+            lines.append(f"{label},{entry.name}")
+            sizes.append(entry.stat().st_size)
         store = root / "store.csv"
         store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        needs = _budget_needs(command, mode, k, n, sizes)
+        # Distinct values, so the k file sizes (two values for Hadamard rows) do not crowd out the other checks.
+        budget = max(0, data.draw(st.sampled_from(sorted(set(needs))), label="need") + data.draw(st.integers(-2, 2)))
         argv = [command, "--store", str(store), "--mode", mode]
         argv += {
             "recognize": ["--key", str(root / "a.amnpat")],

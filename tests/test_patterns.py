@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+import amnocr.core
+import amnocr.patterns
 import oracles
 from amnocr import (
     ActivationVector,
     BinarizePolicy,
     LabeledPattern,
     ManifestError,
+    MemoryBudgetError,
     Pattern,
     PatternFormatError,
     PixelGrid,
@@ -25,7 +28,7 @@ from amnocr import (
 )
 from amnocr.patterns import _from_mask
 from bmpbytes import glyph_index_rows, make_bmp
-from helpers import bipolar, random_pattern
+from helpers import bipolar, peak_bytes, random_pattern
 
 
 def test_pattern_validation():
@@ -78,7 +81,7 @@ def test_from_mask_equals_pattern_and_is_read_only():
 
 
 def test_patterns_built_from_masks_are_read_only():
-    # Binarizing, parsing and thresholding all build their cells from a mask.
+    # Binarizing and thresholding build their cells from a mask, parsing from the text's bytes.
     text = write_pattern_text(bipolar([1, -1, -1, 1], 2, 2), "x")
     built = (
         pixels_to_pattern(PixelGrid(2, 2, [0, 255, 255, 0])),
@@ -224,6 +227,68 @@ def test_round_trip_reference_geometry():
     assert q == p
 
 
+def _must_not_run(*args):
+    raise AssertionError(f"called with {str(args)[:60]}")
+
+
+# A "-1" in the header is replaced with the body's, so the body starts earlier in the replaced bytes.
+WRITTEN_LABELS = ["A", "-1", "x-1-1", "a b", "1 -1 1", "\u00e9", "\u00e9-1 \u2603", "\udcff"]
+
+
+@pytest.mark.parametrize("label", WRITTEN_LABELS)
+def test_every_written_text_takes_the_fixed_stride_path(tmp_path, monkeypatch, label):
+    monkeypatch.setattr(amnocr.patterns, "_read_lines", _must_not_run)
+    rng = np.random.default_rng(96)
+    path = tmp_path / "g.amnpat"
+    for width, height in ((1, 1), (1, 3), (3, 1), (4, 2), (31, 39)):
+        p = random_pattern(rng, width * height, width, height)
+        text = write_pattern_text(p, label)
+        assert text == oracles.write_pattern_text(p, label)
+        assert read_pattern_text(text) == (p, label)
+        if label != "\udcff":  # a lone surrogate has no UTF-8 file
+            path.write_text(text, encoding="utf-8")
+            assert load_pattern_file(path) == p
+
+
+def _reads_as_the_oracle(text):
+    """``read_pattern_text(text)`` equals the oracle's result, or raises its error with its message."""
+    try:
+        want = oracles.read_pattern_text(text)
+    except PatternFormatError as exc:
+        with pytest.raises(PatternFormatError) as got:
+            read_pattern_text(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_pattern_text(text) == want
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t + "\n",  # a trailing blank line
+        lambda t: t + " ",  # a trailing line of one space, which is blank too
+        lambda t: t.replace("\n", " \n"),  # a trailing space on every line
+        lambda t: t.replace("\n", "\n\n", 2),  # a blank line between the header and the rows
+        lambda t: t.replace("\n", "\x1c"),  # a line boundary of str.splitlines only
+        lambda t: t.replace("1\n", "1\u2028"),
+        lambda t: t[:-2] + "\u0661\n",  # a non-ASCII digit for the last row's 1
+        lambda t: t[:-1],  # no newline after the last row
+    ],
+    ids=["crlf", "cr", "blank-line", "space-line", "trailing-space", "inner-blank", "fs", "ls", "digit", "no-eol"],
+)
+def test_texts_off_the_written_layout_take_the_line_path(monkeypatch, edit):
+    calls = []
+    line_reader = amnocr.patterns._read_lines
+    monkeypatch.setattr(amnocr.patterns, "_read_lines", lambda text: calls.append(text) or line_reader(text))
+    rng = np.random.default_rng(97)
+    for width, height in ((1, 1), (3, 2), (31, 39)):
+        text = edit(write_pattern_text(random_pattern(rng, width * height, width, height), "x-1"))
+        _reads_as_the_oracle(text)
+        assert calls[-1] == text
+
+
 # --- manifest loading ---
 
 
@@ -331,10 +396,52 @@ def test_label_with_any_line_break_is_rejected():
 
 
 def test_amnpat_file_that_is_not_utf8(tmp_path):
+    # Latin-1, then a file's own 0xFF byte, which must not pass for the reader's "-1" byte, then a lone surrogate.
     path = tmp_path / "latin.amnpat"
-    path.write_bytes(b"AMNPAT 1 1 1 \xe9t\xe9\n1\n")
-    with pytest.raises(PatternFormatError, match="not UTF-8"):
+    for data in (b"AMNPAT 1 1 1 \xe9t\xe9\n1\n", b"AMNPAT 1 2 1 q\n1 \xff\n", b"AMNPAT 1 1 1 \xed\xb3\xbf\n-1\n"):
+        path.write_bytes(data)
+        with pytest.raises(PatternFormatError, match="not UTF-8"):
+            load_pattern_file(path)
+
+
+def test_load_pattern_file_checks_its_size_before_reading(tmp_path, monkeypatch):
+    path = tmp_path / "g.amnpat"
+    path.write_text(write_pattern_text(bipolar([1, -1, 1]), "g"), encoding="utf-8")
+    size = path.stat().st_size
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
+    with pytest.raises(MemoryBudgetError, match=f"g.amnpat needs {size} bytes for the file's contents"):
         load_pattern_file(path)
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size)
+    assert load_pattern_file(path) == bipolar([1, -1, 1])
+    # A sparse 1 MiB file over the budget is rejected without reading it into memory.
+    with open(path, "r+b") as fh:
+        fh.truncate(1 << 20)
+
+    def rejected():
+        with pytest.raises(MemoryBudgetError, match=f"needs {1 << 20} bytes"):
+            load_pattern_file(path)
+
+    assert peak_bytes(rejected) < 1 << 16
+
+
+# Peaks at 62x78, the benchmark's large glyph: tracemalloc counts what a call
+# allocates, so the text passed in and the file on disk are not in them.
+
+
+def test_load_pattern_file_holds_under_five_bytes_a_cell_beyond_the_file(tmp_path):
+    # The file's bytes, their replaced copy (2 B a cell) and the cells (1 B).
+    p = random_pattern(np.random.default_rng(98), 62 * 78, 62, 78)
+    path = tmp_path / "g.amnpat"
+    path.write_text(write_pattern_text(p, "g"), encoding="utf-8")
+    assert load_pattern_file(path) == p
+    assert peak_bytes(lambda: load_pattern_file(path)) <= path.stat().st_size + 5 * p.n
+
+
+def test_write_pattern_text_holds_under_six_bytes_a_cell():
+    # The 2-byte-a-cell buffer, then its widened copy and the text decoded from it.
+    p = random_pattern(np.random.default_rng(99), 62 * 78, 62, 78)
+    write_pattern_text(p, "g")
+    assert peak_bytes(lambda: write_pattern_text(p, "g")) <= 6 * p.n
 
 
 @pytest.mark.parametrize(

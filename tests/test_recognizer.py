@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +22,7 @@ from amnocr import (
     store_patterns,
 )
 from amnocr.recognize import RecognitionResult, _dense_view
-from helpers import bipolar, hadamard_rows, labeled, random_pattern
+from helpers import bipolar, hadamard_rows, labeled, peak_bytes, random_pattern
 
 
 @pytest.fixture
@@ -476,16 +475,6 @@ def test_factored_literal_keeps_the_key_geometry():
     assert result.same_outcome(recognize(_dense_view(model), key))
 
 
-def _peak_bytes(run):
-    """The most bytes ``run()`` holds at once, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("plan", [None, ExecPlan(threads=2)])
 def test_literal_dense_recognition_holds_three_matrices(plan):
     # Each label's matrix is freed before the next is trained, so the zero
@@ -494,7 +483,7 @@ def test_literal_dense_recognition_holds_three_matrices(plan):
     n = 40 * 40
     model = build_model(labeled([random_pattern(rng, n, 40, 40) for _ in range(3)]), mode="literal")
     key = random_pattern(rng, n, 40, 40)
-    assert _peak_bytes(lambda: recognize(_dense_view(model), key, plan)) < 3.5 * 8 * n * n
+    assert peak_bytes(lambda: recognize(_dense_view(model), key, plan)) < 3.5 * 8 * n * n
 
 
 def test_factored_superposed_recognition_makes_no_int64_copy():
@@ -505,7 +494,7 @@ def test_factored_superposed_recognition_makes_no_int64_copy():
     n = 200 * 200
     model = build_model(labeled([random_pattern(rng, n, 200, 200) for _ in range(4)]))
     key = flip_noise(model.entries[2].pattern, 0.2, seed=3)
-    assert _peak_bytes(lambda: recognize(model, key)) < 8 * n
+    assert peak_bytes(lambda: recognize(model, key)) < 8 * n
 
 
 def test_literal_recognition_copies_no_cells():
@@ -514,7 +503,7 @@ def test_literal_recognition_copies_no_cells():
     n = 200 * 200
     model = build_model(labeled([random_pattern(rng, n, 200, 200) for _ in range(4)]), mode="literal")
     key = random_pattern(rng, n, 200, 200)
-    assert _peak_bytes(lambda: recognize(model, key)) < n
+    assert peak_bytes(lambda: recognize(model, key)) < n
 
 
 def test_literal_recall_in_another_geometry_of_the_same_n():
