@@ -8,10 +8,10 @@ label score or predicted label with both values. Both paths recall through
 the paper's dense kernels on n x n matrices (:func:`~amnocr.core.net_input`
 against :func:`~amnocr.parallel.par_net_input` on W, and in literal mode
 :func:`~amnocr.core.train_pair` against :func:`~amnocr.parallel.par_train_pair`
-per label), not through the factored recall that
-:func:`~amnocr.recognize.recognize` uses on its own. Timings are integer
-nanoseconds from a monotonic clock; the median is the headline statistic
-(means are also derived) because it resists scheduler outliers.
+per label), in :func:`_recognize_dense`, the package's one dense recognizer,
+not in :func:`~amnocr.recognize.recognize`, whatever its ``plan``. Timings
+are integer nanoseconds from a monotonic clock; the median is the headline
+statistic (means are also derived) because it resists scheduler outliers.
 :func:`noise_sweep` times nothing and runs no dense kernel: it ranks each noisy
 key with :func:`~amnocr.recognize.recognize`, as ``amnocr recognize`` does.
 """
@@ -23,11 +23,13 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import format_pct
+import numpy as np
+
+from .core import format_pct, net_input, threshold, train_pair, zero_weights
 from .errors import InvariantError, ParallelDivergenceError, _check_int, _check_rates
-from .parallel import ExecPlan
-from .patterns import LabeledPattern, flip_noise
-from .recognize import RecognitionResult, RecognizerModel, _dense_view, recognize, repeat_recognize
+from .parallel import ExecPlan, par_net_input, par_train_pair
+from .patterns import LabeledPattern, Pattern, flip_noise
+from .recognize import RecognitionResult, RecognizerModel, _check_key, _ranked, _repeat, _superposed_result, recognize
 
 __all__ = [
     "TimingStats",
@@ -106,6 +108,31 @@ def _check_agreement(what: str, label: str, serial: RecognitionResult, parallel:
         )
 
 
+def _recognize_dense(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
+    """What :func:`~amnocr.recognize.recognize` returns, computed with the paper's dense kernels.
+
+    Superposed mode thresholds the net input on W; literal mode trains an
+    n x n matrix on (key, target) and recalls with the key, once per label.
+    With a ``plan`` the parallel kernels run, which are bit-identical to the serial ones.
+    """
+    _check_key(model, key)
+
+    def recall(w):
+        return threshold(par_net_input(w, key, plan) if plan else net_input(w, key))
+
+    if model.mode == "superposed":
+        return _superposed_result(model, recall(model.weights))
+    recalled_by_label, agree = {}, []
+    zero = zero_weights(model.n)
+    for e in model.entries:
+        # Passed on unnamed, each label's matrix is freed before the next one is trained.
+        out = recall(par_train_pair(zero, key, e.pattern, plan) if plan else train_pair(zero, key, e.pattern))
+        recalled_by_label[e.label] = out
+        agree.append(int(np.count_nonzero(out.cells == e.pattern.cells)))
+    predicted, scores = _ranked(model, agree)
+    return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled_by_label[predicted])
+
+
 def run_benchmark(
     model: RecognizerModel,
     keys: list[LabeledPattern],
@@ -116,23 +143,23 @@ def run_benchmark(
 
     Per key: one warm-up per execution path (discarded), then ``runs`` timed
     serial and ``runs`` timed parallel recognitions with the dense kernels
-    (see :func:`~amnocr.recognize._dense_view`). Serial/parallel output
-    divergence raises :class:`ParallelDivergenceError`; a mean-of-runs score
-    differing from the single-run score raises :class:`InvariantError`.
+    (see :func:`_recognize_dense`). Serial/parallel output divergence raises
+    :class:`ParallelDivergenceError`; a mean-of-runs score differing from the
+    single-run score raises :class:`InvariantError`.
     """
     if not keys:
         raise ValueError("keys must be nonempty")
     _check_int("runs", runs, 1)
     plan = plan or ExecPlan()
-    model = _dense_view(model)
+    model.weights  # W is built, and its budget checked, before the first key
 
     rows: list[ReportRow] = []
     for entry in keys:
-        serial_once = repeat_recognize(model, entry.pattern, 1)  # serial warm-up
-        parallel_once = repeat_recognize(model, entry.pattern, 1, plan)  # parallel warm-up
+        serial_once = _repeat(_recognize_dense, model, entry.pattern, 1, None)  # serial warm-up
+        parallel_once = _repeat(_recognize_dense, model, entry.pattern, 1, plan)  # parallel warm-up
         _check_agreement("warm-up recognition", entry.label, serial_once, parallel_once)
-        serial = repeat_recognize(model, entry.pattern, runs)
-        parallel = repeat_recognize(model, entry.pattern, runs, plan)
+        serial = _repeat(_recognize_dense, model, entry.pattern, runs, None)
+        parallel = _repeat(_recognize_dense, model, entry.pattern, runs, plan)
         _check_agreement("recognition", entry.label, serial, parallel)
         if serial.scores != serial_once.scores:
             raise InvariantError(

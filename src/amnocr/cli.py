@@ -37,6 +37,7 @@ from .parallel import MAX_THREADS, ExecPlan
 from .patterns import (
     BinarizePolicy,
     LabeledPattern,
+    _read_file,
     decode_bmp,
     load_manifest,
     load_pattern_file,
@@ -156,7 +157,7 @@ def cmd_ingest(args) -> int:
         try:
             if path.stem in written:
                 raise AmnError(f"output {path.stem}.amnpat already written from {written[path.stem]}")
-            pattern = pixels_to_pattern(decode_bmp(path.read_bytes()), args.policy)
+            pattern = pixels_to_pattern(decode_bmp(_read_file(path)), args.policy)
             out_path = out_dir / (path.stem + ".amnpat")
             out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
         except (AmnError, OSError, ValueError) as exc:  # ValueError: a stem that cannot be a label

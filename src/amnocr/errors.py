@@ -54,7 +54,7 @@ class ManifestError(AmnError):
 
 
 class MemoryBudgetError(AmnError):
-    """A dense n x n matrix would exceed ``MAX_WEIGHT_BYTES``."""
+    """A dense n x n matrix, the k x n recall stack or a glyph file would exceed ``MAX_WEIGHT_BYTES``."""
 
 
 class InvariantError(RuntimeError):

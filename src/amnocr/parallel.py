@@ -104,10 +104,9 @@ def _run_team(assignment: IndexAssignment, work) -> None:
     The calling thread takes the first worker with ranges and a new thread
     each other one; a worker whose range list is empty gets none, so a team
     never outnumbers the blocks. Working on the calling thread saves a spawn
-    and keeps its core busy rather than asleep in ``join``: on a 2-vCPU host a
-    2-thread ``par_net_input`` at n=1209 then took 0.61-0.66 of the serial time
-    in 9 runs of 300 calls, against 0.65-1.07 with both workers on new threads.
-    Joins all threads and re-raises the first failure.
+    and keeps its core busy rather than asleep in ``join``; whether the split
+    then beats the serial kernel depends on the host and the kernel, and no
+    fixed ratio is promised. Joins all threads and re-raises the first failure.
     """
     failures: list[BaseException] = []
 

@@ -275,6 +275,13 @@ def _raise_first_bad_token(rows: list[str]) -> None:
     raise InvariantError("the fixed-stride decoder rejected rows that hold only 1 and -1")
 
 
+def _read_file(path: Path) -> bytes:
+    """The bytes of a glyph file, whose size is checked against ``core.MAX_WEIGHT_BYTES`` first."""
+    with open(path, "rb", buffering=0) as fh:
+        core._check_budget(str(path), os.fstat(fh.fileno()).st_size, "the file's contents")
+        return fh.read()
+
+
 def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) -> Pattern:
     """Load one glyph file, sniffing BMP ('BM') vs AMNPAT content.
 
@@ -284,9 +291,7 @@ def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) ->
     it is read.
     """
     path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        core._check_budget(str(path), os.fstat(fh.fileno()).st_size, "the file's contents")
-        data = fh.read()
+    data = _read_file(path)
     if data.startswith(b"BM"):
         return pixels_to_pattern(decode_bmp(data), policy or BinarizePolicy())
     if not data.startswith(AMNPAT_MAGIC.encode()):
@@ -377,6 +382,6 @@ def flip_noise(pattern: Pattern, rate: float, seed: int) -> Pattern:
 
 # core imports Pattern and _from_mask from this module, so it is bound here,
 # after them, in whichever order the two are first imported. An import inside
-# load_pattern_file cost each file loaded about 2.5 us (2-vCPU KVM host,
+# _read_file cost each file loaded about 2.5 us (2-vCPU KVM host,
 # Python 3.11.7).
 from . import core  # noqa: E402

@@ -15,16 +15,15 @@ and every score is 100.00; the mode is kept as executable documentation of
 that degeneracy. Recognition returns the predicted label's stored target, in
 the key's geometry, and does no arithmetic.
 
-Only the ``bench`` harness times the paper's dense serial and parallel
-kernels, on both modes: :func:`~amnocr.core.net_input` against
-:func:`~amnocr.parallel.par_net_input` on W, and, in literal mode,
-:func:`~amnocr.core.train_pair` against :func:`~amnocr.parallel.par_train_pair`
-per label. The noise sweep ranks its noisy keys with :func:`recognize`.
+:func:`recognize` runs no dense kernel, and its ``plan`` changes nothing. The
+paper's dense serial and parallel recall lives in the ``bench`` harness alone:
+:func:`~amnocr.core.net_input` against :func:`~amnocr.parallel.par_net_input`
+on W, and, in literal mode, :func:`~amnocr.core.train_pair` against
+:func:`~amnocr.parallel.par_train_pair` per label.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import time
 from collections.abc import Iterable
@@ -33,17 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    _check_budget,
-    _exact_float,
-    net_input,
-    store_patterns,
-    threshold,
-    train_pair,
-    zero_weights,
-)
+from .core import _check_budget, _exact_float, store_patterns
 from .errors import _check_int
-from .parallel import ExecPlan, par_net_input, par_train_pair
+from .parallel import ExecPlan
 from .patterns import LabeledPattern, Pattern, _from_mask
 
 __all__ = ["RecognizerModel", "RecognitionResult", "build_model", "recognize", "repeat_recognize"]
@@ -63,13 +54,12 @@ class RecognizerModel:
     returns the stored target pattern itself, frozen with read-only cells,
     when the key has its geometry, and the same cells in the key's geometry
     otherwise. Superposed recognition never needs the n x n matrix W = PᵀP;
-    ``weights`` builds it on first access, for the dense kernels.
+    ``weights`` builds it on first access, for ``bench``'s dense kernels.
     """
 
     entries: tuple[LabeledPattern, ...]
     mode: str
     _targets: np.ndarray | None = field(repr=False)
-    _dense: bool = field(default=False, repr=False)  # recall through W (see _dense_view)
 
     @functools.cached_property
     def weights(self) -> np.ndarray | None:
@@ -168,16 +158,6 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     return RecognizerModel(entries=entries, mode=mode, _targets=targets)
 
 
-def _dense_view(model: RecognizerModel) -> RecognizerModel:
-    """``model`` recalling with the dense serial and parallel kernels, as ``bench`` times it.
-
-    Superposed recall goes through W; literal recall trains an n x n matrix per label.
-    """
-    view = dataclasses.replace(model, _dense=True)
-    view.__dict__["weights"] = model.weights  # share the cached matrix rather than build another
-    return view
-
-
 def _argmax_label(scores: dict) -> str:
     """The label with the highest value; ties go to the smallest label."""
     best = max(scores.values())
@@ -210,48 +190,49 @@ def _ranked(model: RecognizerModel, agree: Iterable[int]) -> tuple[str, dict[str
     return predicted, scores
 
 
+def _check_key(model: RecognizerModel, key: Pattern) -> None:
+    """The key check of factored and dense recall alike."""
+    if key.n != model.n:
+        raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
+
+
+def _superposed_result(model: RecognizerModel, recalled: Pattern) -> RecognitionResult:
+    """The result of a superposed ``recalled`` pattern, factored here or dense in ``bench``."""
+    p = model._targets
+    # Bipolar cells agree in (n + p·r) / 2 positions, so this equals match_score(recalled, target)
+    # per label, an exact integer in p's dtype. A memoryview yields each as a Python float, which
+    # int() makes the int Fraction needs, one at a time: no int64 array, no list of k numbers.
+    agree = (model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2
+    predicted, scores = _ranked(model, map(int, memoryview(agree)))
+    return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
+
+
 def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
     """Rank ``key`` against every stored glyph; deterministic.
 
-    Both modes recall on the calling thread, whatever ``plan`` says: at most
-    O(kn) arithmetic takes less time than starting a worker team. Superposed
-    mode computes a = Pᵀ(P·key), which equals
+    Both modes recall on the calling thread, and ``plan`` is accepted and
+    changes nothing: at most O(kn) arithmetic takes less time than starting
+    a worker team. Superposed mode computes a = Pᵀ(P·key), which equals
     ``net_input(model.weights, key)`` exactly, with ``np.einsum`` in the
     stack's dtype (see :func:`build_model`); it never calls BLAS, which
     would start threads of its own. The net input is thresholded in that
-    dtype too, a > 0. The agreement counts reach :func:`_ranked` as Python
-    ints one at a time, which scores them and picks the winner in one pass.
+    dtype too, a > 0, and :func:`_superposed_result` scores the recall.
     Literal mode does no arithmetic: training a fresh matrix on (key, t) and
     recalling with the key gives the net input (key·key)·t with key·key =
     n > 0, so it recalls every stored target t itself, in the key's
     geometry: the stored pattern itself when the geometries match, the same
     cells reshaped otherwise. Every label then scores the one module-level
-    ``Fraction(100)``, shared by every call. ``plan`` drives only the dense
-    kernels that ``bench`` times: there it runs them on the data-parallel
-    path, which is bit-identical to the serial one, so results never depend
-    on thread count or chunk size.
+    ``Fraction(100)``, shared by every call. ``bench``'s dense serial and
+    parallel recall returns exactly what this function returns.
     """
-    if key.n != model.n:
-        raise ValueError(f"dimension mismatch: model has n={model.n}, key has n={key.n}")
-    if model._dense and model.mode == "literal":
-        return _recognize_literal_dense(model, key, plan)
-
+    _check_key(model, key)
     if model.mode == "superposed":
         p = model._targets
-        if model._dense:
-            recalled = _recall_dense(model.weights, key, plan)
-        else:
-            # Both operands in p's dtype: a mixed-dtype einsum casts through a buffer on every call.
-            overlaps = np.einsum("kn,n->k", p, key.cells.astype(p.dtype))
-            # The net input a = Pᵀ·overlaps is exact in p's dtype, so it is thresholded there, unnamed:
-            # it is freed as soon as the mask a > 0 exists.
-            recalled = _from_mask(key.width, key.height, np.einsum("k,kn->n", overlaps, p) > 0)
-        # Bipolar cells agree in (n + p·r) / 2 positions, so this equals match_score(recalled, target)
-        # per label, an exact integer in p's dtype. A memoryview yields each as a Python float, which
-        # int() makes the int Fraction needs, one at a time: no int64 array, no list of k numbers.
-        agree = (model.n + np.einsum("kn,n->k", p, recalled.cells.astype(p.dtype))) // 2
-        predicted, scores = _ranked(model, map(int, memoryview(agree)))
-        return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled)
+        # Both operands in p's dtype: a mixed-dtype einsum casts through a buffer on every call.
+        overlaps = np.einsum("kn,n->k", p, key.cells.astype(p.dtype))
+        # The net input a = Pᵀ·overlaps is exact in p's dtype, so it is thresholded there, unnamed:
+        # it is freed as soon as the mask a > 0 exists.
+        return _superposed_result(model, _from_mask(key.width, key.height, np.einsum("k,kn->n", overlaps, p) > 0))
 
     # Literal mode: every label recalls its own target, so all tie at 100 and the smallest label wins.
     winner = min(model.entries, key=lambda e: e.label)
@@ -261,27 +242,6 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
         target = _from_mask(key.width, key.height, target.cells > 0)
     # A stored pattern is frozen and its cells read-only, so the result can share it.
     return RecognitionResult(predicted=winner.label, scores=dict.fromkeys(model.labels, _HUNDRED), recalled=target)
-
-
-def _recall_dense(w: np.ndarray, key: Pattern, plan: ExecPlan | None) -> Pattern:
-    """Threshold ``key``'s net input on W, through the parallel kernel when there is a ``plan``."""
-    return threshold(par_net_input(w, key, plan) if plan else net_input(w, key))
-
-
-def _recognize_literal_dense(model: RecognizerModel, key: Pattern, plan: ExecPlan | None) -> RecognitionResult:
-    """Literal mode as the paper runs it: train on (key, target) and recall with the key, per label."""
-    recalled_by_label = {}
-    agree = []
-    zero = zero_weights(model.n)
-    for e in model.entries:
-        # Passed on unnamed, each label's matrix is freed before the next one is trained.
-        out = _recall_dense(
-            par_train_pair(zero, key, e.pattern, plan) if plan else train_pair(zero, key, e.pattern), key, plan
-        )
-        recalled_by_label[e.label] = out
-        agree.append(int(np.count_nonzero(out.cells == e.pattern.cells)))
-    predicted, scores = _ranked(model, agree)
-    return RecognitionResult(predicted=predicted, scores=scores, recalled=recalled_by_label[predicted])
 
 
 def repeat_recognize(
@@ -295,12 +255,17 @@ def repeat_recognize(
     the first run's scores and winner are returned as they are; otherwise
     the exact mean is computed and its winner picked.
     """
+    return _repeat(recognize, model, key, runs, plan)
+
+
+def _repeat(recognizer, model: RecognizerModel, key: Pattern, runs: int, plan: ExecPlan | None) -> RecognitionResult:
+    """The timing loop of :func:`repeat_recognize`, around any ``recognizer`` called as :func:`recognize` is."""
     _check_int("runs", runs, 1)
     per_run: list[RecognitionResult] = []
     timings: list[int] = []
     for _ in range(runs):
         t0 = time.perf_counter_ns()
-        result = recognize(model, key, plan)
+        result = recognizer(model, key, plan)
         timings.append(time.perf_counter_ns() - t0)
         per_run.append(result)
     predicted, scores = per_run[0].predicted, per_run[0].scores

@@ -93,10 +93,10 @@ def test_benchmark_nontiming_fields_deterministic(ortho_model):
 
 
 def test_divergence_is_a_hard_failure(ortho_model, monkeypatch):
-    real = amnocr.bench.repeat_recognize
+    real = amnocr.bench._repeat
 
-    def sabotaged(model, key, runs=5, plan=None):
-        result = real(model, key, runs)
+    def sabotaged(recognizer, model, key, runs, plan):
+        result = real(recognizer, model, key, runs, None)
         if plan is not None:  # parallel path: corrupt the predicted label
             return RecognitionResult(
                 predicted="bogus",
@@ -107,7 +107,7 @@ def test_divergence_is_a_hard_failure(ortho_model, monkeypatch):
             )
         return result
 
-    monkeypatch.setattr(amnocr.bench, "repeat_recognize", sabotaged)
+    monkeypatch.setattr(amnocr.bench, "_repeat", sabotaged)
     keys = [LabeledPattern("a", ortho_model.entries[0].pattern)]
     with pytest.raises(ParallelDivergenceError, match="key 'a'"):
         run_benchmark(ortho_model, keys, runs=1)
@@ -115,13 +115,13 @@ def test_divergence_is_a_hard_failure(ortho_model, monkeypatch):
 
 def _diverge_parallel(monkeypatch, corrupt):
     """Make the parallel path of run_benchmark return ``corrupt(result)``."""
-    real = amnocr.bench.repeat_recognize
+    real = amnocr.bench._repeat
 
-    def sabotaged(model, key, runs=5, plan=None):
-        result = real(model, key, runs, plan)
+    def sabotaged(recognizer, model, key, runs, plan):
+        result = real(recognizer, model, key, runs, plan)
         return corrupt(result) if plan is not None else result
 
-    monkeypatch.setattr(amnocr.bench, "repeat_recognize", sabotaged)
+    monkeypatch.setattr(amnocr.bench, "_repeat", sabotaged)
 
 
 def test_divergence_names_the_first_differing_cell(ortho_model, monkeypatch):
@@ -157,10 +157,10 @@ def test_divergence_names_both_predicted_labels(ortho_model, monkeypatch):
 
 
 def test_mean_vs_single_run_breach_is_hard_failure(ortho_model, monkeypatch):
-    real = amnocr.bench.repeat_recognize
+    real = amnocr.bench._repeat
 
-    def sabotaged(model, key, runs=5, plan=None):
-        result = real(model, key, runs, plan)
+    def sabotaged(recognizer, model, key, runs, plan):
+        result = real(recognizer, model, key, runs, plan)
         if runs > 1:  # corrupt both timed paths identically; warm-ups stay clean
             scores = dict(result.scores)
             first = next(iter(scores))
@@ -174,15 +174,24 @@ def test_mean_vs_single_run_breach_is_hard_failure(ortho_model, monkeypatch):
             )
         return result
 
-    monkeypatch.setattr(amnocr.bench, "repeat_recognize", sabotaged)
+    monkeypatch.setattr(amnocr.bench, "_repeat", sabotaged)
     keys = [LabeledPattern("a", ortho_model.entries[0].pattern)]
     with pytest.raises(InvariantError, match="single run"):
         run_benchmark(ortho_model, keys, runs=2)
 
 
-def _count_kernel_calls(monkeypatch, *names):
-    """Count calls recognition makes to the named kernels; the counts update in place."""
+DENSE_KERNELS = ("zero_weights", "train_pair", "par_train_pair", "net_input", "threshold", "par_net_input")
+
+
+def test_recognize_binds_no_dense_kernel():
+    # Plain recognition is factored; the dense kernels are bench's alone.
     module = importlib.import_module("amnocr.recognize")
+    assert [name for name in DENSE_KERNELS if hasattr(module, name)] == []
+
+
+def _count_kernel_calls(monkeypatch, *names):
+    """Count calls the bench module makes to the named kernels; the counts update in place."""
+    module = amnocr.bench
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
@@ -200,27 +209,19 @@ def _count_kernel_calls(monkeypatch, *names):
 
 
 def test_benchmark_times_the_dense_kernels(ortho_model, monkeypatch):
-    # Plain recognition is factored and never touches the dense kernels;
-    # run_benchmark must still time net_input against par_net_input.
+    # run_benchmark times net_input against par_net_input.
     calls = _count_kernel_calls(monkeypatch, "net_input", "par_net_input")
     key = ortho_model.entries[3].pattern
-    amnocr.recognize(ortho_model, key)
-    amnocr.recognize(ortho_model, key, ExecPlan(threads=2))
-    assert calls == {"net_input": 0, "par_net_input": 0}
     run_benchmark(ortho_model, [LabeledPattern("d", key)], ExecPlan(threads=2), runs=3)
     assert calls == {"net_input": 4, "par_net_input": 4}  # one warm-up and three timed runs each
 
 
 def test_benchmark_times_the_literal_training_kernels(monkeypatch):
-    # Plain literal recognition is factored and trains no matrix;
-    # run_benchmark must still time the serial and parallel training and recall.
+    # run_benchmark times the serial and parallel training and recall.
     names = ("zero_weights", "train_pair", "par_train_pair", "net_input", "par_net_input")
     calls = _count_kernel_calls(monkeypatch, *names)
     model = build_model(labeled(hadamard_rows(8)), mode="literal")
     key = model.entries[2].pattern
-    for plan in (None, ExecPlan(threads=1), ExecPlan(threads=2, chunk=100), ExecPlan(threads=3, chunk=2)):
-        amnocr.recognize(model, key, plan)
-    assert calls == dict.fromkeys(names, 0)
     run_benchmark(model, [LabeledPattern("c", key)], ExecPlan(threads=2), runs=2)
     # One warm-up and two timed runs per path, each training one matrix per label.
     assert calls == {"zero_weights": 6, "train_pair": 24, "par_train_pair": 24, "net_input": 24, "par_net_input": 24}

@@ -115,6 +115,24 @@ def test_ingest_named_files(tmp_path, capsys):
     assert captured.err.startswith(f"error: {tmp_path / 'missing.bmp'}: ")
 
 
+def test_ingest_input_over_the_budget_is_reported_and_skipped(tmp_path, capsys, monkeypatch):
+    # Each input's size is checked before it is read, as load_pattern_file checks a glyph file.
+    small = make_bmp(glyph_index_rows(4, 4, seed=1), depth=4)
+    large = make_bmp(glyph_index_rows(12, 12, seed=2), depth=4)
+    (tmp_path / "small.bmp").write_bytes(small)
+    (tmp_path / "large.bmp").write_bytes(large)
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", len(large) - 1)
+    out = tmp_path / "pat"
+    assert main(["ingest", str(tmp_path / "large.bmp"), str(tmp_path / "small.bmp"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {tmp_path / 'large.bmp'}: ")
+    assert f"needs {len(large)} bytes for the file's contents" in captured.err
+    assert f"over the budget of {len(large) - 1} bytes" in captured.err
+    assert captured.out.startswith("small ")
+    assert [p.name for p in out.iterdir()] == ["small.amnpat"]
+
+
 def test_ingest_empty_directory(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()

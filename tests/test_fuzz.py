@@ -7,8 +7,9 @@ are reached. Each must return a valid result or raise its own
 ``IndexError``, ``MemoryError`` or any other exception. The BMP and AMNPAT
 properties are also differential: the package's whole-array codecs must return
 what the per-pixel and per-token loops in ``oracles`` return, or raise the
-same error class with the same message. The CLI is run on small stores
-under a ``MAX_WEIGHT_BYTES`` drawn around each command's need, and must exit
+same error class with the same message. The CLI is run on small stores,
+and ``ingest`` on their glyphs as BMP files, under a ``MAX_WEIGHT_BYTES``
+drawn around each command's need, and must exit
 1 with the budget message exactly when a check is over it. The runs are
 derandomized, so a failure reproduces on every run.
 """
@@ -289,11 +290,12 @@ def test_load_manifest_near_format(entry_dir, text):
 CLI_RUNS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def _budget_needs(command, mode, k, n, sizes):
+def _budget_needs(command, mode, k, n, sizes, bmp_sizes):
     """The bytes each budget check of ``command`` asks for, in the order they are made.
 
     Loading a glyph file first checks its size (``sizes``, the store's files
-    in manifest order), for the store and then for the keys. A superposed
+    in manifest order), for the store and then for the keys; ``ingest``
+    checks only the size of each BMP input (``bmp_sizes``). A superposed
     model checks its int8 stack and float32 copy (5 * k * n); superposed
     ``bench`` then builds W (a float product and its int64 copy, 16 * n * n).
     Literal ``bench`` starts from ``zero_weights`` (8 * n * n), and each
@@ -306,13 +308,14 @@ def _budget_needs(command, mode, k, n, sizes):
         "recognize": [*sizes, *model, sizes[0]],  # the key is the first glyph's file
         "noise-sweep": [*sizes, *model],
         "bench": [*sizes, *model, *sizes, *dense],  # the keys are the store's manifest
+        "ingest": bmp_sizes,
     }[command]
 
 
 @CLI_RUNS
 @given(
     st.sampled_from([2, 4, 8, 16]),
-    st.sampled_from(["recognize", "noise-sweep", "bench"]),
+    st.sampled_from(["recognize", "noise-sweep", "bench", "ingest"]),
     st.sampled_from(["superposed", "literal"]),
     st.data(),
 )
@@ -321,23 +324,27 @@ def test_cli_exits_1_exactly_when_over_the_budget(order, command, mode, data):
     n = order
     with tempfile.TemporaryDirectory() as raw:
         root = Path(raw)
-        lines, sizes = ["label,path"], []
+        lines, sizes, bmps = ["label,path"], [], []
         for i, pattern in enumerate(hadamard_rows(order)[:k]):
             label = chr(ord("a") + i)
             entry = root / f"{label}.amnpat"
             entry.write_text(write_pattern_text(pattern, label), encoding="utf-8")
             lines.append(f"{label},{entry.name}")
             sizes.append(entry.stat().st_size)
+            bmp = root / f"{label}.bmp"  # the same cells as a 1-bit BMP of one row, for ingest
+            bmp.write_bytes(make_bmp([(pattern.cells > 0).tolist()], depth=1))
+            bmps.append(bmp)
         store = root / "store.csv"
         store.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        needs = _budget_needs(command, mode, k, n, sizes)
+        needs = _budget_needs(command, mode, k, n, sizes, [bmp.stat().st_size for bmp in bmps])
         # Distinct values, so the k file sizes (two values for Hadamard rows) do not crowd out the other checks.
         budget = max(0, data.draw(st.sampled_from(sorted(set(needs))), label="need") + data.draw(st.integers(-2, 2)))
         argv = [command, "--store", str(store), "--mode", mode]
-        argv += {
-            "recognize": ["--key", str(root / "a.amnpat")],
-            "noise-sweep": ["--rates", "0,0.25", "--seed", "1", "--out", str(root / "sweep.csv")],
-            "bench": ["--keys", str(store), "--runs", "1", "--out", str(root / "out")],
+        argv = {
+            "recognize": [*argv, "--key", str(root / "a.amnpat")],
+            "noise-sweep": [*argv, "--rates", "0,0.25", "--seed", "1", "--out", str(root / "sweep.csv")],
+            "bench": [*argv, "--keys", str(store), "--runs", "1", "--out", str(root / "out")],
+            "ingest": [command, *map(str, bmps), "--out", str(root / "ingested")],  # no store, no mode
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):

@@ -21,7 +21,8 @@ from amnocr import (
     repeat_recognize,
     store_patterns,
 )
-from amnocr.recognize import RecognitionResult, _dense_view
+from amnocr.bench import _recognize_dense
+from amnocr.recognize import RecognitionResult
 from helpers import bipolar, hadamard_rows, labeled, peak_bytes, random_pattern
 
 
@@ -401,6 +402,10 @@ def _tied_stores(draw):
     return [LabeledPattern(lbl, bipolar(g)) for lbl, g in zip(labels, glyphs)], bipolar(key)
 
 
+# The serial dense kernels, and the parallel ones with more workers than some stores have cells.
+DENSE_PLANS = [None, ExecPlan(threads=2, chunk=1), ExecPlan(threads=3, chunk=2)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(store=_tied_stores())
 def test_one_pass_ranking_matches_match_score_per_label(store):
@@ -409,15 +414,16 @@ def test_one_pass_ranking_matches_match_score_per_label(store):
     scores = {e.label: match_score(recalled, e.pattern) for e in entries}
     predicted = min(scores, key=lambda label: (-scores[label], label))
     model = build_model(entries)
-    for view in (model, _dense_view(model)):
-        result = recognize(view, key)
+    for result in (recognize(model, key), *(_recognize_dense(model, key, plan) for plan in DENSE_PLANS)):
         assert result.scores == scores
         assert list(result.scores) == [e.label for e in entries]
         assert result.predicted == predicted
         assert result.recalled == recalled
-    literal = recognize(_dense_view(build_model(entries, mode="literal")), key)
-    assert literal.scores == dict.fromkeys(scores, 100)
-    assert literal.predicted == min(scores)
+    literal_model = build_model(entries, mode="literal")
+    for plan in DENSE_PLANS:
+        literal = _recognize_dense(literal_model, key, plan)
+        assert literal.scores == dict.fromkeys(scores, 100)
+        assert literal.predicted == min(scores)
 
 
 def test_weights_check_the_memory_budget(monkeypatch):
@@ -439,9 +445,8 @@ LITERAL_PLANS = [None, ExecPlan(threads=1), ExecPlan(threads=2, chunk=100), Exec
 
 def _assert_literal_matches_dense(model, key):
     """Factored literal recognition equals training and recalling an n x n matrix per label."""
-    dense = _dense_view(model)
     for plan in LITERAL_PLANS:
-        assert recognize(model, key, plan).first_difference(recognize(dense, key, plan)) is None
+        assert recognize(model, key, plan).first_difference(_recognize_dense(model, key, plan)) is None
 
 
 @pytest.mark.parametrize("n", [20, 36, 64])
@@ -472,7 +477,7 @@ def test_factored_literal_keeps_the_key_geometry():
     key = bipolar([1, -1, -1, 1], width=2, height=2)
     result = recognize(model, key)
     assert (result.recalled.width, result.recalled.height) == (2, 2)
-    assert result.same_outcome(recognize(_dense_view(model), key))
+    assert result.same_outcome(_recognize_dense(model, key))
 
 
 @pytest.mark.parametrize("plan", [None, ExecPlan(threads=2)])
@@ -483,7 +488,7 @@ def test_literal_dense_recognition_holds_three_matrices(plan):
     n = 40 * 40
     model = build_model(labeled([random_pattern(rng, n, 40, 40) for _ in range(3)]), mode="literal")
     key = random_pattern(rng, n, 40, 40)
-    assert peak_bytes(lambda: recognize(_dense_view(model), key, plan)) < 3.5 * 8 * n * n
+    assert peak_bytes(lambda: _recognize_dense(model, key, plan)) < 3.5 * 8 * n * n
 
 
 def test_factored_superposed_recognition_makes_no_int64_copy():
