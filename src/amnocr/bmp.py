@@ -1,25 +1,35 @@
-"""Native BMP decoder for glyph images.
+"""Native BMP decoder for glyph images: binarize the palette, not the pixels.
 
 Supports uncompressed BITMAPINFOHEADER files at bit depths 1, 4, 8 and 24.
+One parser, ``_decode(data, lookup)``, checks the headers and makes one byte
+per pixel, ``lookup[luma]`` for a 256-byte ``lookup``. :func:`decode_bmp`
+passes no table, so each byte is the luma itself, and returns a
+:class:`PixelGrid`. The glyph loader in ``patterns`` passes a
+``BinarizePolicy``'s table of int8 signs, so its bytes are a pattern's cells.
 After the headers are checked, decoding works on whole arrays:
 
 1. The pixel rows are one ``np.frombuffer`` view of shape (rows, padded row
    bytes), reversed for bottom-up files (positive height field), so row 0 is
    always the top row and nothing is copied.
-2. 24-bit rows go straight to integer luma over their B, G, R bytes.
-3. Paletted rows are split into colour-table indices: ``np.unpackbits`` for
-   1-bit (most significant bit first), a high/low nibble split for 4-bit and
-   a plain slice for 8-bit. Each cuts the row padding off at ``width``, so
-   pad bits never reach the palette check.
-4. An index past a short colour table is reported at its first top-down
-   (row, column). The rest are looked up through a 256-byte table of palette
-   lumas with ``bytes.translate``, which needs no per-pixel index array.
+2. Before any per-pixel array is made, width x height x ``_BYTES_PER_PIXEL``
+   is checked against ``core.MAX_WEIGHT_BYTES``.
+3. 24-bit rows go to integer luma over their B, G, R bytes, then through
+   ``lookup``.
+4. A paletted file's lumas, at most 256, go through ``lookup`` first. Its
+   rows are split into colour-table indices: ``np.unpackbits`` for 1-bit
+   (most significant bit first), a high/low nibble split for 4-bit and a
+   plain slice for 8-bit. Each cuts the row padding off at ``width``, so pad
+   bits never reach the palette check.
+5. An index past a short colour table is reported at its first top-down
+   (row, column). The rest become their bytes in one ``bytes.translate``
+   through the looked-up palette, so no pixel of a paletted file is ever a
+   luma.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -65,7 +75,7 @@ class _Grid:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        array = fields(self)[-1].name  # the one field a subclass adds
+        array = self.__match_args__[-1]  # the one field a subclass adds
         return (self.width, self.height) == (other.width, other.height) and np.array_equal(
             getattr(self, array), getattr(other, array)
         )
@@ -98,6 +108,17 @@ class _Grid:
         frozen.setflags(write=False)
         object.__setattr__(self, field, frozen)
 
+    @classmethod
+    def _adopt(cls, width: int, height: int, array: np.ndarray):
+        """The grid that takes ``array``, fresh and valid for ``cls`` by construction, as it is: no scan, no copy."""
+        array.setflags(write=False)
+        grid = object.__new__(cls)  # skips __post_init__
+        # Set as the frozen dataclass sets its fields; reading __dict__ would give each grid its own dict.
+        object.__setattr__(grid, "width", width)
+        object.__setattr__(grid, "height", height)
+        object.__setattr__(grid, cls.__match_args__[-1], array)
+        return grid
+
 
 @dataclass(frozen=True, eq=False)
 class PixelGrid(_Grid):
@@ -122,14 +143,30 @@ _LUMA_WEIGHTS = np.array([114, 587, 299], dtype=np.int32)
 
 
 def _luma(bgr: np.ndarray) -> np.ndarray:
-    """Integer luma of the (..., 3) B, G, R bytes, half rounding up.
+    """Integer luma of the (..., 3) B, G, R bytes, half rounding up, as int32 values in [0, 255].
 
     Integer arithmetic keeps decoding bit-exact across platforms.
     """
-    acc = np.einsum("...k,k->...", bgr, _LUMA_WEIGHTS, dtype=np.int32)
+    # einsum casts the bytes to int32 in small buffers, where matmul would
+    # copy a 24-bit file's pixels whole (12 bytes a pixel); on a palette's at
+    # most 256 entries matmul is the faster.
+    if bgr.ndim == 2:
+        acc = np.matmul(bgr, _LUMA_WEIGHTS, dtype=np.int32)
+    else:
+        acc = np.einsum("...k,k->...", bgr, _LUMA_WEIGHTS, dtype=np.int32)
     acc += 500
     acc //= 1000
-    return acc.astype(np.uint8)
+    return acc
+
+
+# The 4-bit nibble split's operands, typed: a Python int costs each ufunc call
+# a dtype resolution.
+_FOUR, _LOW_NIBBLE = np.uint8(4), np.uint8(0x0F)
+
+# The most bytes decoding holds per pixel beyond the file's own: a 24-bit
+# file's int32 luma and its looked-up byte; a paletted file holds at most
+# three (its indices, their bytes and the looked-up bytes).
+_BYTES_PER_PIXEL = 5
 
 
 def decode_bmp(data: bytes) -> PixelGrid:
@@ -137,7 +174,22 @@ def decode_bmp(data: bytes) -> PixelGrid:
 
     Raises a distinct :class:`~amnocr.errors.BmpError` subclass for each
     failure mode: malformed header, unsupported compression, unsupported bit
-    depth, palette index out of range, truncated palette or pixel data.
+    depth, palette index out of range, truncated palette or pixel data. A
+    file whose pixels would take more than ``core.MAX_WEIGHT_BYTES`` to
+    decode raises :class:`~amnocr.errors.MemoryBudgetError` before they are.
+    """
+    width, height, values = _decode(data, None)
+    return PixelGrid._adopt(width, height, values)
+
+
+def _decode(data: bytes, lookup: bytes | None) -> tuple[int, int, np.ndarray]:
+    """The width and height of the BMP ``data`` and one byte per pixel, row-major, top row first.
+
+    Each pixel's byte is ``lookup[luma]`` for a 256-byte ``lookup``, such as
+    a ``BinarizePolicy``'s table of int8 cells, or the luma itself when
+    ``lookup`` is ``None``. A paletted file looks up its palette's at most
+    256 lumas, then its pixels' indices through the result; a 24-bit file
+    looks up each pixel's luma. The bytes are a fresh uint8 array.
     """
     if len(data) < _FILE_HEADER.size:
         raise BmpHeaderError(f"file too short for a BMP header ({len(data)} bytes)")
@@ -183,7 +235,7 @@ def decode_bmp(data: bytes) -> PixelGrid:
                 f"palette truncated: needs {4 * entries} bytes, file has {len(data) - palette_start}"
             )
         bgrx = np.frombuffer(data, np.uint8, 4 * entries, palette_start).reshape(entries, 4)
-        palette = _luma(bgrx[:, :3]).tobytes()
+        palette = _luma(bgrx[:, :3]).astype(np.uint8).tobytes().translate(lookup)
 
     if data_offset < palette_end:
         raise BmpHeaderError(
@@ -199,32 +251,34 @@ def decode_bmp(data: bytes) -> PixelGrid:
             f"pixel data truncated: needs {row_stride * n_rows} bytes "
             f"at offset {data_offset}, file has {max(0, len(data) - data_offset)}"
         )
+    # After the truncation check, so that a header's claim alone never raises it.
+    core._check_budget(f"a {width}x{n_rows} BMP", _BYTES_PER_PIXEL * width * n_rows, "its decoded pixels")
 
     rows = np.frombuffer(data, np.uint8, row_stride * n_rows, data_offset).reshape(n_rows, row_stride)
     if not top_down:
         rows = rows[::-1]
     if depth == 24:
-        values = _luma(rows[:, : 3 * width].reshape(n_rows, width, 3))
-        return PixelGrid(width=width, height=n_rows, values=values.reshape(-1))
-
+        lumas = _luma(rows[:, : 3 * width].reshape(n_rows, width, 3)).reshape(-1).astype(np.uint8)  # owns its bytes
+        return width, n_rows, lumas if lookup is None else np.frombuffer(lumas.tobytes().translate(lookup), np.uint8)
     if depth == 8:
         indices = rows[:, :width]
     elif depth == 4:
         packed = rows[:, : (width + 1) // 2]
         nibbles = np.empty((n_rows, 2 * packed.shape[1]), dtype=np.uint8)
-        np.right_shift(packed, 4, out=nibbles[:, 0::2])
-        np.bitwise_and(packed, 0x0F, out=nibbles[:, 1::2])
+        np.right_shift(packed, _FOUR, out=nibbles[:, 0::2])
+        np.bitwise_and(packed, _LOW_NIBBLE, out=nibbles[:, 1::2])
         indices = nibbles[:, :width]
     else:  # depth == 1, most significant bit first
         indices = np.unpackbits(rows, axis=1, count=width)
-    if len(palette) < (1 << depth):
-        bad = indices >= len(palette)
-        if bad.any():
-            row, col = divmod(int(np.argmax(bad)), width)  # first in top-down order
-            raise BmpPaletteError(
-                f"palette index {indices[row, col]} out of range ({len(palette)} entries) "
-                f"at row {row}, column {col}"
-            )
-    lookup = palette.ljust(256, b"\0")
-    values = np.frombuffer(indices.tobytes().translate(lookup), dtype=np.uint8)
-    return PixelGrid(width=width, height=n_rows, values=values)
+    if len(palette) < (1 << depth) and indices.max() >= len(palette):
+        row, col = divmod(int(np.argmax(indices >= len(palette))), width)  # first in top-down order
+        raise BmpPaletteError(
+            f"palette index {indices[row, col]} out of range ({len(palette)} entries) "
+            f"at row {row}, column {col}"
+        )
+    return width, n_rows, np.frombuffer(indices.tobytes().translate(palette.ljust(256, b"\0")), np.uint8)
+
+
+# core imports _Grid from this module, so it is bound here, after it, in
+# whichever order the two are first imported.
+from . import core  # noqa: E402

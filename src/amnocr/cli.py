@@ -37,11 +37,10 @@ from .parallel import MAX_THREADS, ExecPlan
 from .patterns import (
     BinarizePolicy,
     LabeledPattern,
+    _bmp_pattern,
     _read_file,
-    decode_bmp,
     load_manifest,
     load_pattern_file,
-    pixels_to_pattern,
     write_pattern_text,
 )
 from .recognize import MODES, build_model, recognize
@@ -157,11 +156,12 @@ def cmd_ingest(args) -> int:
         try:
             if path.stem in written:
                 raise AmnError(f"output {path.stem}.amnpat already written from {written[path.stem]}")
-            pattern = pixels_to_pattern(decode_bmp(_read_file(path)), args.policy)
+            pattern = _bmp_pattern(_read_file(path), args.policy)
             out_path = out_dir / (path.stem + ".amnpat")
             out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
         except (AmnError, OSError, ValueError) as exc:  # ValueError: a stem that cannot be a label
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            message = str(exc)  # the file-size budget error already starts with the path
+            print(f"error: {message if message.startswith(str(path)) else f'{path}: {message}'}", file=sys.stderr)
             failed += 1
             continue
         written[path.stem] = path

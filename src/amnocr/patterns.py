@@ -19,14 +19,18 @@ reads the same, or fails with the same error, on either path.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import errno
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISDIR
 
 import numpy as np
 
-from .bmp import PixelGrid, _Grid, decode_bmp
+from .bmp import PixelGrid, _decode, _Grid
 from .errors import InvariantError, ManifestError, PatternFormatError, _check_int, _check_rates
 
 __all__ = [
@@ -83,6 +87,13 @@ class BinarizePolicy:
 
     def __post_init__(self):
         _check_int("threshold", self.threshold, 0, 255)
+        # The binarize rule, once: the cell of each luma as an int8 byte, 0x01 for +1 and 0xFF for -1.
+        dark, light = (b"\x01", b"\xff") if self.foreground_is_dark else (b"\xff", b"\x01")
+        object.__setattr__(self, "_signs", dark * self.threshold + light * (256 - self.threshold))
+
+
+# Frozen, so every call without a policy can share this one and its table.
+_DEFAULT_POLICY = BinarizePolicy()
 
 
 @dataclass(frozen=True)
@@ -106,35 +117,25 @@ def _check_label(label: str) -> None:
 
 def pixels_to_pattern(grid: PixelGrid, policy: BinarizePolicy | None = None) -> Pattern:
     """Binarize a pixel grid into a bipolar pattern under ``policy``."""
-    policy = policy or BinarizePolicy()
-    dark = grid.values < policy.threshold
-    foreground = dark if policy.foreground_is_dark else ~dark
-    return _from_mask(grid.width, grid.height, foreground)
+    policy = policy or _DEFAULT_POLICY
+    cells = np.frombuffer(grid.values.tobytes().translate(policy._signs), np.int8)
+    Pattern._check_geometry(grid.width, grid.height, cells)
+    return Pattern._adopt(grid.width, grid.height, cells)
+
+
+# The int8 cell of each byte of a bool mask: -1 for false (0), +1 for true (1).
+_MASK_SIGNS = b"\xff\x01".ljust(256, b"\0")
 
 
 def _from_mask(width: int, height: int, mask: np.ndarray) -> Pattern:
-    """The pattern with +1 where ``mask`` is true and -1 elsewhere.
+    """The pattern with +1 where the bool array ``mask`` is true and -1 elsewhere.
 
     Checks the geometry as :class:`Pattern` does, but not the cells: they are
     made here, fresh and +-1 by construction, so they are neither scanned
     nor copied again.
     """
     Pattern._check_geometry(width, height, mask)
-    cells = mask.astype(np.int8)
-    cells *= 2
-    cells -= 1
-    return _adopt(width, height, cells)
-
-
-def _adopt(width: int, height: int, cells: np.ndarray) -> Pattern:
-    """The pattern that takes ``cells``, fresh int8 +-1 cells of its geometry, as they are: no scan, no copy."""
-    cells.setflags(write=False)
-    pattern = object.__new__(Pattern)  # skips __post_init__
-    # Set as the frozen dataclass sets its fields; reading __dict__ would give each pattern its own dict.
-    object.__setattr__(pattern, "width", width)
-    object.__setattr__(pattern, "height", height)
-    object.__setattr__(pattern, "cells", cells)
-    return pattern
+    return Pattern._adopt(width, height, np.frombuffer(mask.tobytes().translate(_MASK_SIGNS), np.int8))
 
 
 def write_pattern_text(pattern: Pattern, label: str) -> str:
@@ -210,7 +211,7 @@ def _read_written(raw: bytes) -> tuple[Pattern, str] | None:
     width, height, label = _read_header(line)
     codes = raw.replace(b"-1", _MINUS_ONE)  # a "-1" in the label shifts the body too
     cells = _decode_rows(codes, codes.index(b"\n") + 1, width, height)
-    return None if cells is None else (_adopt(width, height, cells), label)
+    return None if cells is None else (Pattern._adopt(width, height, cells), label)
 
 
 def _decode_rows(codes: bytes, start: int, width: int, height: int) -> np.ndarray | None:
@@ -264,7 +265,7 @@ def _read_lines(text: str) -> tuple[Pattern, str]:
     cells = _decode_rows(codes, 0, width, height)
     if cells is None:
         _raise_first_bad_token(rows)
-    return _adopt(width, height, cells), label
+    return Pattern._adopt(width, height, cells), label
 
 
 def _raise_first_bad_token(rows: list[str]) -> None:
@@ -275,11 +276,36 @@ def _raise_first_bad_token(rows: list[str]) -> None:
     raise InvariantError("the fixed-stride decoder rejected rows that hold only 1 and -1")
 
 
-def _read_file(path: Path) -> bytes:
-    """The bytes of a glyph file, whose size is checked against ``core.MAX_WEIGHT_BYTES`` first."""
-    with open(path, "rb", buffering=0) as fh:
-        core._check_budget(str(path), os.fstat(fh.fileno()).st_size, "the file's contents")
-        return fh.read()
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline translation on Windows
+
+
+def _read_file(name: str | Path) -> bytes:
+    """The bytes of the glyph file ``name``, whose size is checked against ``core.MAX_WEIGHT_BYTES`` first.
+
+    A file of the size ``fstat`` states takes one ``os.read`` call, with no
+    file object made. Every error is the one ``open`` and ``read`` raise.
+    """
+    fd = os.open(name, _READ_FLAGS)
+    try:
+        stat = os.fstat(fd)
+        if S_ISDIR(stat.st_mode):  # open() names the file in this error; os.read would not
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(name))
+        size = stat.st_size
+        del stat  # its two dozen field objects would otherwise be held through the read
+        core._check_budget(str(name), size, "the file's contents")
+        data = os.read(fd, size + 1)
+        if len(data) > size:  # a file that grew, or a pipe: read on to its end
+            with open(fd, "rb", closefd=False) as fh:
+                data += fh.read()
+        return data
+    finally:
+        os.close(fd)
+
+
+def _bmp_pattern(data: bytes, policy: BinarizePolicy) -> Pattern:
+    """``pixels_to_pattern(decode_bmp(data), policy)``, with no pixel grid made: the cells come straight from ``data``."""
+    width, height, cells = _decode(data, policy._signs)
+    return Pattern._adopt(width, height, cells.view(np.int8))
 
 
 def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) -> Pattern:
@@ -290,21 +316,65 @@ def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) ->
     than ``core.MAX_WEIGHT_BYTES`` raises :class:`MemoryBudgetError` before
     it is read.
     """
-    path = Path(path)
-    data = _read_file(path)
+    return _load_file(str(Path(path)), policy or _DEFAULT_POLICY)
+
+
+def _load_file(name: str, policy: BinarizePolicy) -> Pattern:
+    """:func:`load_pattern_file` of ``name``, a ``Path``'s string, which its errors name."""
+    data = _read_file(name)
     if data.startswith(b"BM"):
-        return pixels_to_pattern(decode_bmp(data), policy or BinarizePolicy())
+        return _bmp_pattern(data, policy)
     if not data.startswith(AMNPAT_MAGIC.encode()):
-        raise PatternFormatError(f"{path}: neither a BMP nor an AMNPAT file")
+        raise PatternFormatError(f"{name}: neither a BMP nor an AMNPAT file")
     read = _read_written(data) if data.isascii() else None  # no str made
     if read is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise PatternFormatError(f"{path}: AMNPAT text is not UTF-8: {exc}") from None
+            raise PatternFormatError(f"{name}: AMNPAT text is not UTF-8: {exc}") from None
         del data  # the text repeats the file's bytes; keep one copy through the parse
         read = read_pattern_text(text)  # a non-ASCII text may still be in the written layout
     return read[0]
+
+
+def _entry_path(directory: str, entry: str) -> str:
+    """``str(Path(directory, entry))``, with no ``Path`` made for a plain entry.
+
+    ``directory`` is a ``Path``'s string. ``Path`` keeps a relative POSIX
+    entry with no empty or "." component as it is written; any other entry,
+    an absolute one included, goes through it.
+    """
+    bounded = f"/{entry}/"
+    if os.sep == "/" and "//" not in bounded and "/./" not in bounded:
+        return entry if directory == "." else os.path.join(directory, entry)
+    return str(Path(directory, entry))
+
+
+# The bytes a text-mode file reads and decodes at a time (io.TextIOWrapper's chunk size).
+_TEXT_CHUNK = 8192
+
+
+def _utf8_lines(fh):
+    """The lines of the binary file ``fh`` as ``open(..., encoding="utf-8", newline="")`` reads them.
+
+    The same chunks go through the same decoders, so each line, and each
+    ``UnicodeDecodeError`` with its position, comes at the same point of the
+    iteration. A text-mode file would instead leave behind a name string that
+    CPython's type attribute cache alone holds, to be freed by whichever later
+    attribute lookup happens to share its slot: a later call's memory would
+    then depend on where that string was allocated.
+    """
+    # Universal newlines, untranslated. Until the end, a trailing "\r" waits for the next chunk, so
+    # "\r\n" is never split and only a last line that lacks "\n" can be incomplete.
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=False)
+    tail = ""
+    while True:
+        chunk = fh.read1(_TEXT_CHUNK)
+        lines = io.StringIO(tail + decoder.decode(chunk, not chunk), newline="").readlines()
+        tail = lines.pop() if chunk and lines and not lines[-1].endswith("\n") else ""
+        yield from lines
+        if not chunk:
+            return
 
 
 def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> list[LabeledPattern]:
@@ -315,10 +385,10 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
     read as-is (the manifest label wins over the embedded one). All patterns
     must share one width x height.
     """
-    policy = policy or BinarizePolicy()
+    policy = policy or _DEFAULT_POLICY
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_utf8_lines(fh))
         try:
             header = next(reader, None)
             if header is None:
@@ -332,6 +402,7 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
     if not rows:
         raise ManifestError(f"{path}: empty store (manifest has a header but no rows)")
 
+    directory = str(path.parent)
     entries: list[LabeledPattern] = []
     seen: set[str] = set()
     for line_num, row in rows:
@@ -347,9 +418,9 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
         if label in seen:
             raise ManifestError(f"{path}:{line_num}: duplicate label {label!r}")
         seen.add(label)
-        entry_path = path.parent / entry  # an absolute entry replaces the manifest's directory
+        entry_path = _entry_path(directory, entry)  # an absolute entry replaces the manifest's directory
         try:
-            pattern = load_pattern_file(entry_path, policy)
+            pattern = _load_file(entry_path, policy)
         except OSError as exc:
             raise ManifestError(f"{path}:{line_num}: cannot read {entry_path}: {exc}") from exc
         first = entries[0].pattern if entries else pattern

@@ -1,20 +1,26 @@
 """Decoder tests over hand-constructed fixture bytes (see tests/bmpbytes.py)."""
 
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+import amnocr.core
 from amnocr import (
     BmpBitDepthError,
     BmpCompressionError,
     BmpHeaderError,
     BmpPaletteError,
     BmpTruncatedError,
+    MemoryBudgetError,
     PixelGrid,
     decode_bmp,
+    load_pattern_file,
 )
+from amnocr.bmp import _BYTES_PER_PIXEL
 from bmpbytes import glyph_index_rows, grayscale_palette, make_bmp
+from helpers import peak_bytes
 
 
 def test_glyph_geometry_4bit():
@@ -195,3 +201,34 @@ def test_pixel_grid_stores_a_read_only_copy():
     grid = PixelGrid(2, 1, source)
     assert not np.shares_memory(grid.values, source) and not grid.values.flags.writeable
     assert grid == PixelGrid(2, 1, [0, 255]) and grid.values.dtype == np.uint8
+
+
+def test_decoding_is_checked_against_the_budget_before_the_pixels_are(tmp_path, monkeypatch):
+    # A 64x64 1-bit file is 574 bytes, far below what decoding it holds.
+    data = make_bmp(np.random.default_rng(3).integers(0, 2, (64, 64)).tolist(), depth=1)
+    path = tmp_path / "g.bmp"
+    path.write_bytes(data)
+    need = _BYTES_PER_PIXEL * 64 * 64
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", need - 1)
+    message = f"^a 64x64 BMP needs {need} bytes for its decoded pixels, over the budget of {need - 1} bytes"
+    for decode in (lambda: decode_bmp(data), lambda: load_pattern_file(path)):
+        with pytest.raises(MemoryBudgetError, match=message):
+            decode()
+
+    def rejected():
+        with pytest.raises(MemoryBudgetError):
+            decode_bmp(data)
+
+    assert peak_bytes(rejected) < 64 * 64  # less than one byte a pixel was allocated
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", need)
+    assert decode_bmp(data).values.size == load_pattern_file(path).n == 64 * 64
+
+
+def test_a_header_claim_alone_stays_a_truncation_error(monkeypatch):
+    # The budget check follows the truncation check: a file whose header claims
+    # 4000x4000 pixels and holds none fails as it did before the check existed.
+    data = bytearray(make_bmp([[0]], depth=1)[: 14 + 40 + 8])  # headers and palette only
+    data[18:26] = struct.pack("<ii", 4000, 4000)
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 0)
+    with pytest.raises(BmpTruncatedError, match="pixel data truncated: needs 2000000 bytes"):
+        decode_bmp(bytes(data))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import amnocr.bmp
 import amnocr.cli
 import amnocr.core
 import oracles
@@ -126,11 +127,28 @@ def test_ingest_input_over_the_budget_is_reported_and_skipped(tmp_path, capsys, 
     assert main(["ingest", str(tmp_path / "large.bmp"), str(tmp_path / "small.bmp"), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"error: {tmp_path / 'large.bmp'}: ")
-    assert f"needs {len(large)} bytes for the file's contents" in captured.err
+    # The budget error names the path itself, so it is printed once, as recognize prints it.
+    assert captured.err.startswith(f"error: {tmp_path / 'large.bmp'} needs {len(large)} bytes for the file's contents")
+    assert captured.err.count(str(tmp_path / "large.bmp")) == 1
     assert f"over the budget of {len(large) - 1} bytes" in captured.err
     assert captured.out.startswith("small ")
     assert [p.name for p in out.iterdir()] == ["small.amnpat"]
+
+
+def test_bmp_over_the_decode_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # The file itself is inside the budget; the pixels it decodes to are not.
+    key = tmp_path / "key.bmp"
+    key.write_bytes(make_bmp(glyph_index_rows(12, 12, seed=2), depth=4))
+    manifest, _, _ = _write_store(tmp_path)
+    need = amnocr.bmp._BYTES_PER_PIXEL * 144
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", need - 1)
+    assert main(["recognize", "--store", str(manifest), "--key", str(key)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a 12x12 BMP needs {need} bytes for its decoded pixels, "
+        f"over the budget of {need - 1} bytes (MAX_WEIGHT_BYTES)\n"
+    )
+    assert main(["ingest", str(key), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: a 12x12 BMP needs {need} bytes")
 
 
 def test_ingest_empty_directory(tmp_path, capsys):

@@ -7,9 +7,10 @@ are reached. Each must return a valid result or raise its own
 ``IndexError``, ``MemoryError`` or any other exception. The BMP and AMNPAT
 properties are also differential: the package's whole-array codecs must return
 what the per-pixel and per-token loops in ``oracles`` return, or raise the
-same error class with the same message. The CLI is run on small stores,
-and ``ingest`` on their glyphs as BMP files, under a ``MAX_WEIGHT_BYTES``
-drawn around each command's need, and must exit
+same error class with the same message, and the glyph loader must return
+what ``pixels_to_pattern(decode_bmp(data), policy)`` returns, or fail alike.
+The CLI is run on small stores, and ``ingest`` on their glyphs as BMP files,
+under a ``MAX_WEIGHT_BYTES`` drawn around each command's need, and must exit
 1 with the budget message exactly when a check is over it. The runs are
 derandomized, so a failure reproduces on every run.
 """
@@ -28,15 +29,19 @@ from hypothesis import strategies as st
 import amnocr.core
 import oracles
 from amnocr import (
+    BinarizePolicy,
     BmpError,
     ManifestError,
     PatternFormatError,
     decode_bmp,
     load_manifest,
+    pixels_to_pattern,
     read_pattern_text,
     write_pattern_text,
 )
+from amnocr.bmp import _BYTES_PER_PIXEL
 from amnocr.cli import main
+from amnocr.patterns import _TEXT_CHUNK, _bmp_pattern, _utf8_lines
 from bmpbytes import glyph_index_rows, make_bmp
 from helpers import hadamard_rows, random_pattern
 
@@ -147,6 +152,48 @@ def test_decode_bmp_mutated_files(data):
 @given(paletted_bmps())
 def test_decode_bmp_arbitrary_pixel_bytes(data):
     _check_bmp(data)
+
+
+@st.composite
+def glyph_bmps(draw):
+    """A valid BMP at any supported depth and row order; a paletted one may declare a short palette."""
+    depth = draw(st.sampled_from([1, 4, 8, 24]))
+    width, height = draw(st.integers(1, 33)), draw(st.integers(1, 5))
+    byte = st.integers(0, 255)
+    palette, colors_used, pixel = None, 0, st.tuples(byte, byte, byte)
+    if depth <= 8:
+        entries = draw(st.integers(1, 1 << depth))
+        palette = draw(st.lists(st.tuples(byte, byte, byte), min_size=entries, max_size=entries))
+        colors_used = 0 if entries == 1 << depth and draw(st.booleans()) else entries
+        pixel = st.integers(0, entries - 1)
+    rows = draw(st.lists(st.lists(pixel, min_size=width, max_size=width), min_size=height, max_size=height))
+    return make_bmp(rows, depth, bottom_up=draw(st.booleans()), palette=palette, colors_used=colors_used)
+
+
+POLICIES = st.builds(BinarizePolicy, st.sampled_from([0, 1, 128, 255]), st.booleans())
+
+
+def _check_loader(data, policy):
+    """The glyph loader's cells are ``pixels_to_pattern(decode_bmp(data), policy)``'s, or both raise alike."""
+    try:
+        pattern = _same_as_oracle(
+            lambda d: _bmp_pattern(d, policy), lambda d: pixels_to_pattern(decode_bmp(d), policy), data
+        )
+    except BmpError:
+        return
+    assert not pattern.cells.flags.writeable and not _bmp_pattern(data, policy).cells.flags.writeable
+
+
+@FUZZ
+@given(glyph_bmps(), POLICIES)
+def test_loader_binarizes_as_decode_then_pixels_to_pattern(data, policy):
+    _check_loader(data, policy)
+
+
+@FUZZ
+@given(st.one_of(mutated_bmps(), paletted_bmps(), bmp_headers()), POLICIES)
+def test_loader_fails_as_decode_then_pixels_to_pattern(data, policy):
+    _check_loader(data, policy)
 
 
 # --- AMNPAT text ---
@@ -285,6 +332,40 @@ def test_load_manifest_near_format(entry_dir, text):
     _check_manifest(entry_dir, text.encode("utf-8", "surrogatepass"))
 
 
+# Line endings, UTF-8 characters of two to four bytes, and bytes that break UTF-8.
+TEXT_PIECES = st.sampled_from(
+    [b"a", b",", b"\r", b"\n", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80", b"\xc3", b"\x80", b"\xff"]
+)
+
+
+@st.composite
+def chunk_straddling_bytes(draw):
+    """Lines of text up to a little before a chunk boundary, then drawn pieces across it."""
+    lead = max(0, draw(st.integers(0, 2)) * _TEXT_CHUNK - draw(st.integers(0, 12)))
+    return (b"label,glyph.bmp\n" * (lead // 16 + 1))[:lead] + b"".join(draw(st.lists(TEXT_PIECES, max_size=16)))
+
+
+def _lines_until_error(lines) -> list:
+    """The lines read, then the message of the ``UnicodeDecodeError`` that ended them, if one did."""
+    read = []
+    try:
+        read.extend(lines)
+    except UnicodeDecodeError as exc:
+        read.append(str(exc))
+    return read
+
+
+@FUZZ
+@given(chunk_straddling_bytes())
+def test_manifest_line_reader_matches_text_mode(entry_dir, data):
+    path = entry_dir / "text.csv"
+    path.write_bytes(data)
+    with open(path, newline="", encoding="utf-8") as fh:
+        expected = _lines_until_error(fh)
+    with open(path, "rb") as fh:
+        assert _lines_until_error(_utf8_lines(fh)) == expected
+
+
 # --- the CLI against the memory budget ---
 
 CLI_RUNS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -295,7 +376,8 @@ def _budget_needs(command, mode, k, n, sizes, bmp_sizes):
 
     Loading a glyph file first checks its size (``sizes``, the store's files
     in manifest order), for the store and then for the keys; ``ingest``
-    checks only the size of each BMP input (``bmp_sizes``). A superposed
+    checks the size of each BMP input (``bmp_sizes``) and then what decoding
+    its one row of ``n`` pixels holds (``_BYTES_PER_PIXEL * n``). A superposed
     model checks its int8 stack and float32 copy (5 * k * n); superposed
     ``bench`` then builds W (a float product and its int64 copy, 16 * n * n).
     Literal ``bench`` starts from ``zero_weights`` (8 * n * n), and each
@@ -308,7 +390,7 @@ def _budget_needs(command, mode, k, n, sizes, bmp_sizes):
         "recognize": [*sizes, *model, sizes[0]],  # the key is the first glyph's file
         "noise-sweep": [*sizes, *model],
         "bench": [*sizes, *model, *sizes, *dense],  # the keys are the store's manifest
-        "ingest": bmp_sizes,
+        "ingest": [need for size in bmp_sizes for need in (size, _BYTES_PER_PIXEL * n)],
     }[command]
 
 

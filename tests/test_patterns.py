@@ -1,6 +1,9 @@
 """Binarization, AMNPAT text format, manifest loading, and synthetic noise."""
 
+import os
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,16 @@ def test_patterns_built_from_masks_are_read_only():
 
 
 # --- binarization ---
+
+
+def test_every_policy_binarizes_by_its_rule():
+    # Every luma under every threshold and polarity: +1 exactly where (luma < threshold) == foreground_is_dark.
+    lumas = np.arange(256)
+    grid = PixelGrid(256, 1, lumas)
+    for t in range(256):
+        for dark in (True, False):
+            want = np.where((lumas < t) == dark, 1, -1)
+            assert pixels_to_pattern(grid, BinarizePolicy(t, dark)).cells.tolist() == want.tolist()
 
 
 def test_binarize_white_background():
@@ -424,6 +437,21 @@ def test_load_pattern_file_checks_its_size_before_reading(tmp_path, monkeypatch)
     assert peak_bytes(rejected) < 1 << 16
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_load_pattern_file_reads_a_pipe_to_its_end(tmp_path):
+    # A pipe's size reads 0, so the one read of the stated size is not the whole file.
+    p = random_pattern(np.random.default_rng(96), 12, 4, 3)
+    fifo = tmp_path / "g.amnpat"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(write_pattern_text(p, "g"),))
+    writer.start()
+    try:
+        assert load_pattern_file(fifo) == p
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 # Peaks at 62x78, the benchmark's large glyph: tracemalloc counts what a call
 # allocates, so the text passed in and the file on disk are not in them.
 
@@ -437,11 +465,77 @@ def test_load_pattern_file_holds_under_five_bytes_a_cell_beyond_the_file(tmp_pat
     assert peak_bytes(lambda: load_pattern_file(path)) <= path.stat().st_size + 5 * p.n
 
 
+@pytest.mark.parametrize(
+    "depth, per_cell",
+    # Beyond the file: 1-bit unpacked indices, their bytes and the looked-up
+    # cells (3 B); 24-bit int32 lumas and their bytes (5 B, as bmp._BYTES_PER_PIXEL
+    # states), each with 1 B for einsum's buffers and the objects made.
+    [(1, 4), (24, 6)],
+)
+def test_load_pattern_file_holds_a_bounded_number_of_bytes_a_cell_beyond_a_bmp(tmp_path, depth, per_cell):
+    rng = np.random.default_rng(97)
+    if depth == 24:
+        rows = [[tuple(px) for px in row] for row in rng.integers(0, 256, (78, 62, 3)).tolist()]
+    else:
+        rows = rng.integers(0, 2, (78, 62)).tolist()
+    path = tmp_path / "g.bmp"
+    path.write_bytes(make_bmp(rows, depth=depth))
+    assert load_pattern_file(path) == pixels_to_pattern(decode_bmp(path.read_bytes()))
+    assert peak_bytes(lambda: load_pattern_file(path)) <= path.stat().st_size + per_cell * 62 * 78
+
+
 def test_write_pattern_text_holds_under_six_bytes_a_cell():
     # The 2-byte-a-cell buffer, then its widened copy and the text decoded from it.
     p = random_pattern(np.random.default_rng(99), 62 * 78, 62, 78)
     write_pattern_text(p, "g")
     assert peak_bytes(lambda: write_pattern_text(p, "g")) <= 6 * p.n
+
+
+# Entries as written, and the path that a Path of the manifest's directory
+# joined to them prints, which the errors must name byte for byte.
+ENTRY_SPELLINGS = [
+    ("g.bin", "g.bin"),
+    ("./g.bin", "g.bin"),
+    ("sub//g.bin", "sub/g.bin"),
+    ("sub/./g.bin", "sub/g.bin"),
+    ("sub/", "sub"),
+    ("{abs}/sub//g.bin", "{abs}/sub/g.bin"),
+]
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["manifest-path", "manifest-bare-name"])
+@pytest.mark.parametrize("entry, shown", ENTRY_SPELLINGS)
+def test_manifest_errors_name_the_entry_as_a_path_prints_it(tmp_path, monkeypatch, entry, shown, bare):
+    entry, shown = entry.format(abs=tmp_path), shown.format(abs=tmp_path)
+    if bare:  # the manifest given as a bare file name, relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        manifest = Path("store.csv")
+    else:
+        manifest = tmp_path / "store.csv"
+        shown = shown if shown.startswith("/") else f"{tmp_path}/{shown}"
+    (tmp_path / "store.csv").write_text(f"label,path\nA,{entry}\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    for target in (tmp_path / "g.bin", tmp_path / "sub" / "g.bin"):
+        target.write_bytes(b"junk")
+    if entry == "sub/":
+        with pytest.raises(ManifestError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == f"{manifest}:2: cannot read {shown}: [Errno 21] Is a directory: {shown!r}"
+        return
+    with pytest.raises(PatternFormatError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{shown}: neither a BMP nor an AMNPAT file"
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 3)
+    with pytest.raises(MemoryBudgetError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == (
+        f"{shown} needs 4 bytes for the file's contents, over the budget of 3 bytes (MAX_WEIGHT_BYTES)"
+    )
+    for target in (tmp_path / "g.bin", tmp_path / "sub" / "g.bin"):
+        target.unlink()
+    with pytest.raises(ManifestError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}:2: cannot read {shown}: [Errno 2] No such file or directory: {shown!r}"
 
 
 @pytest.mark.parametrize(
