@@ -153,15 +153,18 @@ def cmd_ingest(args) -> int:
     failed = 0
     written: dict[str, Path] = {}  # stem -> the input whose output has that name
     for path in files:
+        prefix = ""  # the errors raised up to the read name the input themselves
         try:
             if path.stem in written:
-                raise AmnError(f"output {path.stem}.amnpat already written from {written[path.stem]}")
-            pattern = _bmp_pattern(_read_file(path), args.policy)
+                raise AmnError(f"{path}: output {path.stem}.amnpat already written from {written[path.stem]}")
+            data = _read_file(path)
+            prefix = f"{path}: "  # the later ones do not
+            pattern = _bmp_pattern(data, args.policy)
+            del data
             out_path = out_dir / (path.stem + ".amnpat")
             out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
         except (AmnError, OSError, ValueError) as exc:  # ValueError: a stem that cannot be a label
-            message = str(exc)  # the file-size budget error already starts with the path
-            print(f"error: {message if message.startswith(str(path)) else f'{path}: {message}'}", file=sys.stderr)
+            print(f"error: {prefix}{exc}", file=sys.stderr)
             failed += 1
             continue
         written[path.stem] = path

@@ -54,7 +54,12 @@ class ManifestError(AmnError):
 
 
 class MemoryBudgetError(AmnError):
-    """A dense n x n matrix, the k x n recall stack or a glyph file would exceed ``MAX_WEIGHT_BYTES``."""
+    """A dense n x n matrix, the k x n recall stack, a file or a BMP's pixels would exceed ``MAX_WEIGHT_BYTES``.
+
+    The file is a manifest, a glyph file or an ``ingest`` input, checked by
+    its size before it is read; a BMP's decoded pixels are checked from its
+    header before they are made.
+    """
 
 
 class InvariantError(RuntimeError):

@@ -8,8 +8,8 @@ text format, store manifests, and deterministic synthetic noise.
 AMNPAT text is read on one of two paths. Text laid out exactly as
 :func:`write_pattern_text` writes it (a one-line header, then ``height`` rows
 of ``width`` tokens, one space between tokens and ``"\\n"`` after each row)
-is decoded straight from its UTF-8 bytes in fixed-stride views: an ASCII
-file's bytes as read, or a str's encoding. Everything else goes to the line
+is decoded straight from its UTF-8 bytes in fixed-stride views: a file's
+bytes as read, or a str's encoding. Everything else goes to the line
 reader: CRLF or CR line ends, any other line boundary, blank or trailing
 lines, non-ASCII rows and every malformed text. Both paths parse the header
 with one function. Only the line reader judges rows and tokens, and it
@@ -19,7 +19,6 @@ reads the same, or fails with the same error, on either path.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import errno
 import io
@@ -280,10 +279,12 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline t
 
 
 def _read_file(name: str | Path) -> bytes:
-    """The bytes of the glyph file ``name``, whose size is checked against ``core.MAX_WEIGHT_BYTES`` first.
+    """The bytes of the file ``name``, whose size is checked against ``core.MAX_WEIGHT_BYTES`` first.
 
-    A file of the size ``fstat`` states takes one ``os.read`` call, with no
-    file object made. Every error is the one ``open`` and ``read`` raise.
+    Every file the package reads, manifest, glyph or ``ingest`` input, is
+    read here. A file of the size ``fstat`` states takes one ``os.read``
+    call, with no file object made. Every error is the one ``open`` and
+    ``read`` raise.
     """
     fd = os.open(name, _READ_FLAGS)
     try:
@@ -326,14 +327,16 @@ def _load_file(name: str, policy: BinarizePolicy) -> Pattern:
         return _bmp_pattern(data, policy)
     if not data.startswith(AMNPAT_MAGIC.encode()):
         raise PatternFormatError(f"{name}: neither a BMP nor an AMNPAT file")
-    read = _read_written(data) if data.isascii() else None  # no str made
+    try:
+        text = None if data.isascii() else data.decode("utf-8")  # an ASCII file's str is made only if needed
+    except UnicodeDecodeError as exc:
+        raise PatternFormatError(f"{name}: AMNPAT text is not UTF-8: {exc}") from None
+    # Strict UTF-8 holds no surrogate, so data is the encoding read_pattern_text would make of its text.
+    read = _read_written(data)
     if read is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PatternFormatError(f"{name}: AMNPAT text is not UTF-8: {exc}") from None
+        text = text or data.decode("utf-8")
         del data  # the text repeats the file's bytes; keep one copy through the parse
-        read = read_pattern_text(text)  # a non-ASCII text may still be in the written layout
+        read = _read_lines(text)
     return read[0]
 
 
@@ -350,54 +353,32 @@ def _entry_path(directory: str, entry: str) -> str:
     return str(Path(directory, entry))
 
 
-# The bytes a text-mode file reads and decodes at a time (io.TextIOWrapper's chunk size).
-_TEXT_CHUNK = 8192
-
-
-def _utf8_lines(fh):
-    """The lines of the binary file ``fh`` as ``open(..., encoding="utf-8", newline="")`` reads them.
-
-    The same chunks go through the same decoders, so each line, and each
-    ``UnicodeDecodeError`` with its position, comes at the same point of the
-    iteration. A text-mode file would instead leave behind a name string that
-    CPython's type attribute cache alone holds, to be freed by whichever later
-    attribute lookup happens to share its slot: a later call's memory would
-    then depend on where that string was allocated.
-    """
-    # Universal newlines, untranslated. Until the end, a trailing "\r" waits for the next chunk, so
-    # "\r\n" is never split and only a last line that lacks "\n" can be incomplete.
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=False)
-    tail = ""
-    while True:
-        chunk = fh.read1(_TEXT_CHUNK)
-        lines = io.StringIO(tail + decoder.decode(chunk, not chunk), newline="").readlines()
-        tail = lines.pop() if chunk and lines and not lines[-1].endswith("\n") else ""
-        yield from lines
-        if not chunk:
-            return
-
-
 def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> list[LabeledPattern]:
     """Load a ``label,path`` CSV manifest into labeled patterns.
 
     Relative entry paths resolve against the manifest's directory. BMP
     entries are decoded and binarized with ``policy``; AMNPAT entries are
     read as-is (the manifest label wins over the embedded one). All patterns
-    must share one width x height.
+    must share one width x height. The manifest and each entry larger than
+    ``core.MAX_WEIGHT_BYTES`` raise :class:`MemoryBudgetError` before they are
+    read.
     """
     policy = policy or _DEFAULT_POLICY
     path = Path(path)
-    with open(path, "rb") as fh:
-        reader = csv.reader(_utf8_lines(fh))
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ManifestError(f"{path}: empty manifest")
-            if header != ["label", "path"]:
-                raise ManifestError(f"{path}: bad header {header!r}, expected ['label', 'path']")
-            rows = [(reader.line_num, row) for row in reader if row]
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ManifestError(f"{path}: {exc}") from None
+    try:
+        # One strict decode, split at universal newlines left untranslated, as a
+        # text file opened with newline="" splits. No text file object is made:
+        # its decoder's name string would linger in CPython's type attribute
+        # cache and make a later call's memory depend on where it was allocated.
+        reader = csv.reader(io.StringIO(_read_file(path).decode("utf-8"), newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise ManifestError(f"{path}: empty manifest")
+        if header != ["label", "path"]:
+            raise ManifestError(f"{path}: bad header {header!r}, expected ['label', 'path']")
+        rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
     if not rows:
         raise ManifestError(f"{path}: empty store (manifest has a header but no rows)")

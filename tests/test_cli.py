@@ -113,7 +113,10 @@ def test_ingest_named_files(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["Q.amnpat", "R.amnpat"]
     assert len(captured.out.splitlines()) == 2
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"error: {tmp_path / 'missing.bmp'}: ")
+    missing = str(tmp_path / "missing.bmp")
+    # The OSError names the file itself, so it is printed as it is, as recognize prints it.
+    assert captured.err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert captured.err.count(missing) == 1
 
 
 def test_ingest_input_over_the_budget_is_reported_and_skipped(tmp_path, capsys, monkeypatch):
@@ -276,9 +279,12 @@ def test_bench_over_the_weight_budget_exits_1(tmp_path, capsys, monkeypatch, mod
 
 
 def test_glyph_file_over_the_budget_exits_1(tmp_path, capsys, monkeypatch):
-    # Each file's size is checked before it is read, the store's and the key's alike.
-    manifest, _, _ = _write_store(tmp_path, order=4)
-    key = tmp_path / "a.amnpat"
+    # Each file's size is checked before it is read, the manifest's, the store's and the key's alike.
+    # A long embedded label makes the key need more than the manifest (55 B), each glyph (about 25 B)
+    # and the model (80 B), so it is the first check over the budget.
+    manifest, _, rows = _write_store(tmp_path, order=4)
+    key = tmp_path / "key.amnpat"
+    key.write_text(write_pattern_text(rows[0], "k" * 100), encoding="utf-8")
     size = key.stat().st_size
     monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
     assert main(["recognize", "--store", str(manifest), "--key", str(key)]) == 1

@@ -15,6 +15,7 @@ under a ``MAX_WEIGHT_BYTES`` drawn around each command's need, and must exit
 derandomized, so a failure reproduces on every run.
 """
 
+import csv
 import io
 import struct
 import tempfile
@@ -41,7 +42,7 @@ from amnocr import (
 )
 from amnocr.bmp import _BYTES_PER_PIXEL
 from amnocr.cli import main
-from amnocr.patterns import _TEXT_CHUNK, _bmp_pattern, _utf8_lines
+from amnocr.patterns import _bmp_pattern
 from bmpbytes import glyph_index_rows, make_bmp
 from helpers import hadamard_rows, random_pattern
 
@@ -338,32 +339,54 @@ TEXT_PIECES = st.sampled_from(
 )
 
 
+# The bytes a text-mode file decodes at a time (io.TextIOWrapper's chunk size),
+# where a reader that decodes in chunks would split the text.
+TEXT_CHUNK = 8192
+
+
 @st.composite
 def chunk_straddling_bytes(draw):
     """Lines of text up to a little before a chunk boundary, then drawn pieces across it."""
-    lead = max(0, draw(st.integers(0, 2)) * _TEXT_CHUNK - draw(st.integers(0, 12)))
+    lead = max(0, draw(st.integers(0, 2)) * TEXT_CHUNK - draw(st.integers(0, 12)))
     return (b"label,glyph.bmp\n" * (lead // 16 + 1))[:lead] + b"".join(draw(st.lists(TEXT_PIECES, max_size=16)))
 
 
-def _lines_until_error(lines) -> list:
-    """The lines read, then the message of the ``UnicodeDecodeError`` that ended them, if one did."""
+def _rows_until_error(rows) -> list:
+    """The rows read, then the message of the ``csv.Error`` that ended them, if one did."""
     read = []
     try:
-        read.extend(lines)
-    except UnicodeDecodeError as exc:
+        read.extend(rows)
+    except csv.Error as exc:
         read.append(str(exc))
     return read
 
 
 @FUZZ
 @given(chunk_straddling_bytes())
-def test_manifest_line_reader_matches_text_mode(entry_dir, data):
+def test_manifest_rows_match_text_mode(entry_dir, data):
     path = entry_dir / "text.csv"
     path.write_bytes(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded at once, so the error names the absolute position, not one inside a chunk.
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: {exc}"
+        return
     with open(path, newline="", encoding="utf-8") as fh:
-        expected = _lines_until_error(fh)
-    with open(path, "rb") as fh:
-        assert _lines_until_error(_utf8_lines(fh)) == expected
+        expected = _rows_until_error(csv.reader(fh))
+    handed = []  # the lines load_manifest hands csv.reader
+    reader = csv.reader
+
+    def spy(lines):
+        handed.extend(lines)
+        return reader(handed)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ManifestError):  # no header here is "label,path"
+        mp.setattr(csv, "reader", spy)
+        load_manifest(path)
+    assert _rows_until_error(reader(handed)) == expected
 
 
 # --- the CLI against the memory budget ---
@@ -371,11 +394,12 @@ def test_manifest_line_reader_matches_text_mode(entry_dir, data):
 CLI_RUNS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def _budget_needs(command, mode, k, n, sizes, bmp_sizes):
+def _budget_needs(command, mode, k, n, manifest, sizes, bmp_sizes):
     """The bytes each budget check of ``command`` asks for, in the order they are made.
 
-    Loading a glyph file first checks its size (``sizes``, the store's files
-    in manifest order), for the store and then for the keys; ``ingest``
+    Loading a manifest first checks its size (``manifest``), and loading a
+    glyph file checks its size (``sizes``, the store's files in manifest
+    order), for the store and then for the keys; ``ingest``
     checks the size of each BMP input (``bmp_sizes``) and then what decoding
     its one row of ``n`` pixels holds (``_BYTES_PER_PIXEL * n``). A superposed
     model checks its int8 stack and float32 copy (5 * k * n); superposed
@@ -387,9 +411,9 @@ def _budget_needs(command, mode, k, n, sizes, bmp_sizes):
     model = [5 * k * n] if mode == "superposed" else []
     dense = [8 * n * n, 24 * n * n] if mode == "literal" else [16 * n * n]
     return {
-        "recognize": [*sizes, *model, sizes[0]],  # the key is the first glyph's file
-        "noise-sweep": [*sizes, *model],
-        "bench": [*sizes, *model, *sizes, *dense],  # the keys are the store's manifest
+        "recognize": [manifest, *sizes, *model, sizes[0]],  # the key is the first glyph's file
+        "noise-sweep": [manifest, *sizes, *model],
+        "bench": [manifest, *sizes, *model, manifest, *sizes, *dense],  # the keys are the store's manifest
         "ingest": [need for size in bmp_sizes for need in (size, _BYTES_PER_PIXEL * n)],
     }[command]
 
@@ -418,7 +442,8 @@ def test_cli_exits_1_exactly_when_over_the_budget(order, command, mode, data):
             bmps.append(bmp)
         store = root / "store.csv"
         store.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        needs = _budget_needs(command, mode, k, n, sizes, [bmp.stat().st_size for bmp in bmps])
+        bmp_sizes = [bmp.stat().st_size for bmp in bmps]
+        needs = _budget_needs(command, mode, k, n, store.stat().st_size, sizes, bmp_sizes)
         # Distinct values, so the k file sizes (two values for Hadamard rows) do not crowd out the other checks.
         budget = max(0, data.draw(st.sampled_from(sorted(set(needs))), label="need") + data.draw(st.integers(-2, 2)))
         argv = [command, "--store", str(store), "--mode", mode]

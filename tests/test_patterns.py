@@ -29,6 +29,7 @@ from amnocr import (
     threshold,
     write_pattern_text,
 )
+from amnocr.cli import main
 from amnocr.patterns import _from_mask
 from bmpbytes import glyph_index_rows, make_bmp
 from helpers import bipolar, peak_bytes, random_pattern
@@ -437,6 +438,34 @@ def test_load_pattern_file_checks_its_size_before_reading(tmp_path, monkeypatch)
     assert peak_bytes(rejected) < 1 << 16
 
 
+def test_manifest_over_the_budget_is_rejected_before_a_row_is_read(tmp_path, monkeypatch, capsys):
+    # The manifest goes through the glyph files' one checked read; its entries name no file, so a read row would fail.
+    manifest = tmp_path / "store.csv"
+    manifest.write_text("label,path\nA,missing.bmp\n", encoding="utf-8")
+    size = manifest.stat().st_size
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
+    with pytest.raises(MemoryBudgetError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == (
+        f"{manifest} needs {size} bytes for the file's contents, over the budget of {size - 1} bytes (MAX_WEIGHT_BYTES)"
+    )
+    assert main(["recognize", "--store", str(manifest), "--key", str(tmp_path / "missing.bmp")]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_amnpat_file_off_the_written_layout_runs_the_fixed_stride_decoder_once(tmp_path, monkeypatch):
+    calls = []
+    read_written = amnocr.patterns._read_written
+    monkeypatch.setattr(amnocr.patterns, "_read_written", lambda raw: calls.append(raw) or read_written(raw))
+    p = random_pattern(np.random.default_rng(95), 12, 4, 3)
+    path = tmp_path / "g.amnpat"
+    for label in ("g", "\xe9"):  # an ASCII file and one that is not
+        path.write_bytes(write_pattern_text(p, label).replace("\n", "\r\n").encode("utf-8"))
+        calls.clear()
+        assert load_pattern_file(path) == p
+        assert calls == [path.read_bytes()]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
 def test_load_pattern_file_reads_a_pipe_to_its_end(tmp_path):
     # A pipe's size reads 0, so the one read of the stated size is not the whole file.
@@ -515,8 +544,10 @@ def test_manifest_errors_name_the_entry_as_a_path_prints_it(tmp_path, monkeypatc
         shown = shown if shown.startswith("/") else f"{tmp_path}/{shown}"
     (tmp_path / "store.csv").write_text(f"label,path\nA,{entry}\n", encoding="utf-8")
     (tmp_path / "sub").mkdir()
+    # Larger than the manifest, whose size is checked first, so the entry is the first file over the budget.
+    junk = b"junk".ljust((tmp_path / "store.csv").stat().st_size + 1, b"!")
     for target in (tmp_path / "g.bin", tmp_path / "sub" / "g.bin"):
-        target.write_bytes(b"junk")
+        target.write_bytes(junk)
     if entry == "sub/":
         with pytest.raises(ManifestError) as err:
             load_manifest(manifest)
@@ -525,11 +556,12 @@ def test_manifest_errors_name_the_entry_as_a_path_prints_it(tmp_path, monkeypatc
     with pytest.raises(PatternFormatError) as err:
         load_manifest(manifest)
     assert str(err.value) == f"{shown}: neither a BMP nor an AMNPAT file"
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 3)
+    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", len(junk) - 1)
     with pytest.raises(MemoryBudgetError) as err:
         load_manifest(manifest)
     assert str(err.value) == (
-        f"{shown} needs 4 bytes for the file's contents, over the budget of 3 bytes (MAX_WEIGHT_BYTES)"
+        f"{shown} needs {len(junk)} bytes for the file's contents, "
+        f"over the budget of {len(junk) - 1} bytes (MAX_WEIGHT_BYTES)"
     )
     for target in (tmp_path / "g.bin", tmp_path / "sub" / "g.bin"):
         target.unlink()
