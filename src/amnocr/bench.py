@@ -1,17 +1,18 @@
 """Benchmark harness: timed serial vs parallel recognition, the noise sweep, CSV reports.
 
-For every key :func:`run_benchmark` runs warm-ups (discarded), then the same
-number of timed serial and timed parallel recognitions, asserting that both
-paths produced identical outputs; any divergence aborts the run rather than
-becoming a report entry, and names the first differing recalled cell,
-label score or predicted label with both values. Both paths recall through
+For every key :func:`run_benchmark` runs one untimed warm-up per path and
+checks that the serial and parallel warm-ups agree, then the same number of
+timed serial and timed parallel recognitions, checking each against its
+path's warm-up; any divergence aborts the run rather than becoming a report
+entry, and names the first differing recalled cell, label score or
+predicted label with both values. Both paths recall through
 the paper's dense kernels on n x n matrices (:func:`~amnocr.core.net_input`
 against :func:`~amnocr.parallel.par_net_input` on W, and in literal mode
 :func:`~amnocr.core.train_pair` against :func:`~amnocr.parallel.par_train_pair`
 per label), in :func:`_recognize_dense`, the package's one dense recognizer,
 not in :func:`~amnocr.recognize.recognize`, whatever its ``plan``. Timings
 are integer nanoseconds from a monotonic clock; the median is the headline
-statistic (means are also derived) because it resists scheduler outliers.
+statistic because it resists scheduler outliers.
 :func:`noise_sweep` times nothing and runs no dense kernel: it ranks each noisy
 key with :func:`~amnocr.recognize.recognize`, as ``amnocr recognize`` does.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .core import format_pct, net_input, threshold, train_pair, zero_weights
 from .errors import InvariantError, ParallelDivergenceError, _check_int, _check_rates
 from .parallel import ExecPlan, par_net_input, par_train_pair
 from .patterns import LabeledPattern, Pattern, flip_noise
-from .recognize import RecognitionResult, RecognizerModel, _check_key, _ranked, _repeat, _superposed_result, recognize
+from .recognize import RecognitionResult, RecognizerModel, _check_key, _ranked, _superposed_result, recognize
 
 __all__ = [
     "TimingStats",
@@ -46,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimingStats:
-    """Wall-clock samples in nanoseconds, with derived summary statistics."""
+    """Wall-clock samples in nanoseconds, summarized by their median."""
 
     samples: tuple[int, ...]
 
@@ -55,20 +57,8 @@ class TimingStats:
             raise ValueError("timing stats need at least one sample")
 
     @property
-    def min(self) -> int:
-        return min(self.samples)
-
-    @property
-    def max(self) -> int:
-        return max(self.samples)
-
-    @property
     def median(self) -> float | int:
         return statistics.median(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.samples)
 
 
 @dataclass(frozen=True)
@@ -97,15 +87,15 @@ class SweepPoint:
     mean_best_match_pct: float
 
 
-def _check_agreement(what: str, label: str, serial: RecognitionResult, parallel: RecognitionResult) -> None:
-    """Raise :class:`ParallelDivergenceError` naming the first difference, if any."""
-    difference = serial.first_difference(parallel)
+def _check_same(error, what: str, label: str, names, first: RecognitionResult, second: RecognitionResult) -> None:
+    """Raise ``error`` naming the first difference of ``second`` from ``first`` and both values, if any.
+
+    ``names`` are the words the message puts before the first and the second value.
+    """
+    difference = first.first_difference(second)
     if difference is not None:
-        where, serial_value, parallel_value = difference
-        raise ParallelDivergenceError(
-            f"serial and parallel {what} disagree for key {label!r} at {where}: "
-            f"serial {serial_value}, parallel {parallel_value}"
-        )
+        where, first_value, second_value = difference
+        raise error(f"{what} for key {label!r} at {where}: {names[0]} {first_value}, {names[1]} {second_value}")
 
 
 def _recognize_dense(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None) -> RecognitionResult:
@@ -141,11 +131,14 @@ def run_benchmark(
 ) -> list[ReportRow]:
     """Time dense serial and parallel recognition for every key, in input order.
 
-    Per key: one warm-up per execution path (discarded), then ``runs`` timed
+    Per key: one untimed warm-up per execution path, then ``runs`` timed
     serial and ``runs`` timed parallel recognitions with the dense kernels
-    (see :func:`_recognize_dense`). Serial/parallel output divergence raises
-    :class:`ParallelDivergenceError`; a mean-of-runs score differing from the
-    single-run score raises :class:`InvariantError`.
+    (see :func:`_recognize_dense`); each sample times the one recognition
+    call. Serial and parallel warm-ups that differ raise
+    :class:`ParallelDivergenceError`. Each timed result is compared with its
+    path's warm-up after its sample is taken, and one that differs raises
+    :class:`InvariantError` naming the path, the run (1 to ``runs``), the
+    key, the first differing cell, score or label, and both values.
     """
     if not keys:
         raise ValueError("keys must be nonempty")
@@ -155,28 +148,41 @@ def run_benchmark(
 
     rows: list[ReportRow] = []
     for entry in keys:
-        serial_once = _repeat(_recognize_dense, model, entry.pattern, 1, None)  # serial warm-up
-        parallel_once = _repeat(_recognize_dense, model, entry.pattern, 1, plan)  # parallel warm-up
-        _check_agreement("warm-up recognition", entry.label, serial_once, parallel_once)
-        serial = _repeat(_recognize_dense, model, entry.pattern, runs, None)
-        parallel = _repeat(_recognize_dense, model, entry.pattern, runs, plan)
-        _check_agreement("recognition", entry.label, serial, parallel)
-        if serial.scores != serial_once.scores:
-            raise InvariantError(
-                f"mean-of-{runs}-runs scores differ from a single run for key {entry.label!r}"
-            )
+        serial = _recognize_dense(model, entry.pattern)
+        parallel = _recognize_dense(model, entry.pattern, plan)
+        _check_same(
+            ParallelDivergenceError, "serial and parallel warm-up recognition disagree", entry.label,
+            ("serial", "parallel"), serial, parallel,
+        )
         rows.append(
             ReportRow(
                 key_label=entry.label,
                 predicted_label=serial.predicted,
                 match_pct=float(format_pct(serial.scores[serial.predicted])),
                 correct=entry.label == serial.predicted,
-                serial=TimingStats(serial.timings_ns),
-                parallel=TimingStats(parallel.timings_ns),
+                serial=_timed_runs(model, entry, None, runs, "serial", serial),
+                parallel=_timed_runs(model, entry, plan, runs, "parallel", parallel),
                 runs=runs,
             )
         )
     return rows
+
+
+def _timed_runs(
+    model: RecognizerModel, entry: LabeledPattern, plan: ExecPlan | None, runs: int,
+    path: str, warm_up: RecognitionResult,
+) -> TimingStats:
+    """``runs`` timed recognitions of one key on one path, each checked against the path's warm-up."""
+    samples = []
+    for run in range(1, runs + 1):
+        t0 = time.perf_counter_ns()
+        result = _recognize_dense(model, entry.pattern, plan)
+        samples.append(time.perf_counter_ns() - t0)
+        _check_same(
+            InvariantError, f"{path} run {run} differs from its warm-up", entry.label,
+            ("warm-up", "run"), warm_up, result,
+        )
+    return TimingStats(tuple(samples))
 
 
 def noise_sweep(

@@ -25,7 +25,6 @@ on W, and, in literal mode, :func:`~amnocr.core.train_pair` against
 from __future__ import annotations
 
 import functools
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,11 +32,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import _check_budget, _exact_float, store_patterns
-from .errors import _check_int
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, Pattern, _from_mask
 
-__all__ = ["RecognizerModel", "RecognitionResult", "build_model", "recognize", "repeat_recognize"]
+__all__ = ["RecognizerModel", "RecognitionResult", "build_model", "recognize"]
 
 MODES = ("superposed", "literal")
 _HUNDRED = Fraction(100)  # every literal score; Fractions are immutable, so one object serves every call
@@ -84,23 +82,20 @@ class RecognitionResult:
     ``scores`` maps every stored label to an exact rational percentage in
     [0, 100]; ``predicted`` attains the maximum (ties go to the
     lexicographically smallest label). Labels with the same score may share
-    one ``Fraction`` object. ``timings_ns`` carries one wall-clock sample per
-    run when produced by :func:`repeat_recognize`. The class has slots and no
-    ``__dict__``, since one result is built per key.
+    one ``Fraction`` object. The class has slots and no ``__dict__``, since
+    one result is built per key.
     """
 
     predicted: str
     scores: dict[str, Fraction]
     recalled: Pattern
-    runs: int = 1
-    timings_ns: tuple[int, ...] = ()
 
     def ranked(self) -> list[tuple[str, Fraction]]:
         """Labels best-first; ties broken by ascending label."""
         return sorted(self.scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def same_outcome(self, other: "RecognitionResult") -> bool:
-        """True when the non-timing payload is identical."""
+        """True when the recalled pattern, every score and the predicted label are identical."""
         return self.first_difference(other) is None
 
     def first_difference(self, other: "RecognitionResult") -> tuple[str, str, str] | None:
@@ -156,12 +151,6 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
         targets = np.stack([e.pattern.cells for e in entries]).astype(dtype)
         targets.setflags(write=False)
     return RecognizerModel(entries=entries, mode=mode, _targets=targets)
-
-
-def _argmax_label(scores: dict) -> str:
-    """The label with the highest value; ties go to the smallest label."""
-    best = max(scores.values())
-    return min(label for label, s in scores.items() if s == best)
 
 
 def _ranked(model: RecognizerModel, agree: Iterable[int]) -> tuple[str, dict[str, Fraction]]:
@@ -243,39 +232,3 @@ def recognize(model: RecognizerModel, key: Pattern, plan: ExecPlan | None = None
     # A stored pattern is frozen and its cells read-only, so the result can share it.
     return RecognitionResult(predicted=winner.label, scores=dict.fromkeys(model.labels, _HUNDRED), recalled=target)
 
-
-def repeat_recognize(
-    model: RecognizerModel, key: Pattern, runs: int = 5, plan: ExecPlan | None = None
-) -> RecognitionResult:
-    """Run :func:`recognize` ``runs`` times; report mean scores and wall times.
-
-    The algorithm is deterministic, so the mean per-label score equals any
-    single run's score; the repetition exists to collect timing samples.
-    When every run's scores equal the first run's, they are the mean, and
-    the first run's scores and winner are returned as they are; otherwise
-    the exact mean is computed and its winner picked.
-    """
-    return _repeat(recognize, model, key, runs, plan)
-
-
-def _repeat(recognizer, model: RecognizerModel, key: Pattern, runs: int, plan: ExecPlan | None) -> RecognitionResult:
-    """The timing loop of :func:`repeat_recognize`, around any ``recognizer`` called as :func:`recognize` is."""
-    _check_int("runs", runs, 1)
-    per_run: list[RecognitionResult] = []
-    timings: list[int] = []
-    for _ in range(runs):
-        t0 = time.perf_counter_ns()
-        result = recognizer(model, key, plan)
-        timings.append(time.perf_counter_ns() - t0)
-        per_run.append(result)
-    predicted, scores = per_run[0].predicted, per_run[0].scores
-    if any(r.scores != scores for r in per_run[1:]):
-        scores = {label: sum(r.scores[label] for r in per_run) / runs for label in scores}
-        predicted = _argmax_label(scores)
-    return RecognitionResult(
-        predicted=predicted,
-        scores=scores,
-        recalled=per_run[-1].recalled,
-        runs=runs,
-        timings_ns=tuple(timings),
-    )

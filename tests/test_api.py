@@ -10,7 +10,7 @@ MODULES = [importlib.import_module(f"amnocr.{name}")
 
 def test_package_names_are_the_module_names():
     assert amnocr.__all__ == [name for module in MODULES for name in module.__all__]
-    assert len(set(amnocr.__all__)) == len(amnocr.__all__) == 50
+    assert len(set(amnocr.__all__)) == len(amnocr.__all__) == 49
     for module in MODULES:
         for name in module.__all__:
             assert getattr(amnocr, name) is getattr(module, name)

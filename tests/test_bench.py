@@ -36,10 +36,7 @@ def ortho_model():
 
 
 def test_timing_stats_derived_consistently():
-    stats = TimingStats((5, 1, 9, 3, 7))
-    assert stats.min == 1 and stats.max == 9
-    assert stats.median == 5
-    assert stats.mean == 5.0
+    assert TimingStats((5, 1, 9, 3, 7)).median == 5
     assert TimingStats((2, 4)).median == 3
 
 
@@ -55,6 +52,7 @@ def test_benchmark_row_shape(ortho_model):
     for row in rows:
         assert len(row.serial.samples) == 5
         assert len(row.parallel.samples) == 5
+        assert all(t > 0 for t in row.serial.samples + row.parallel.samples)
         assert row.runs == 5
         assert row.speedup > 0
         assert row.correct and row.predicted_label == row.key_label
@@ -93,21 +91,15 @@ def test_benchmark_nontiming_fields_deterministic(ortho_model):
 
 
 def test_divergence_is_a_hard_failure(ortho_model, monkeypatch):
-    real = amnocr.bench._repeat
+    real = amnocr.bench._recognize_dense
 
-    def sabotaged(recognizer, model, key, runs, plan):
-        result = real(recognizer, model, key, runs, None)
+    def sabotaged(model, key, plan=None):
+        result = real(model, key)
         if plan is not None:  # parallel path: corrupt the predicted label
-            return RecognitionResult(
-                predicted="bogus",
-                scores=result.scores,
-                recalled=result.recalled,
-                runs=result.runs,
-                timings_ns=result.timings_ns,
-            )
+            return RecognitionResult(predicted="bogus", scores=result.scores, recalled=result.recalled)
         return result
 
-    monkeypatch.setattr(amnocr.bench, "_repeat", sabotaged)
+    monkeypatch.setattr(amnocr.bench, "_recognize_dense", sabotaged)
     keys = [LabeledPattern("a", ortho_model.entries[0].pattern)]
     with pytest.raises(ParallelDivergenceError, match="key 'a'"):
         run_benchmark(ortho_model, keys, runs=1)
@@ -115,13 +107,13 @@ def test_divergence_is_a_hard_failure(ortho_model, monkeypatch):
 
 def _diverge_parallel(monkeypatch, corrupt):
     """Make the parallel path of run_benchmark return ``corrupt(result)``."""
-    real = amnocr.bench._repeat
+    real = amnocr.bench._recognize_dense
 
-    def sabotaged(recognizer, model, key, runs, plan):
-        result = real(recognizer, model, key, runs, plan)
+    def sabotaged(model, key, plan=None):
+        result = real(model, key, plan)
         return corrupt(result) if plan is not None else result
 
-    monkeypatch.setattr(amnocr.bench, "_repeat", sabotaged)
+    monkeypatch.setattr(amnocr.bench, "_recognize_dense", sabotaged)
 
 
 def test_divergence_names_the_first_differing_cell(ortho_model, monkeypatch):
@@ -156,28 +148,28 @@ def test_divergence_names_both_predicted_labels(ortho_model, monkeypatch):
         run_benchmark(ortho_model, keys, runs=1)
 
 
-def test_mean_vs_single_run_breach_is_hard_failure(ortho_model, monkeypatch):
-    real = amnocr.bench._repeat
+@pytest.mark.parametrize("mode", ["superposed", "literal"])
+@pytest.mark.parametrize("path", ["serial", "parallel"])
+def test_a_timed_run_that_differs_from_its_warm_up_is_named(path, mode, monkeypatch):
+    model = build_model(labeled(hadamard_rows(8)), mode=mode)  # key 'a' scores 100 for 'a' in both modes
+    real = amnocr.bench._recognize_dense
+    calls = {"serial": 0, "parallel": 0}
 
-    def sabotaged(recognizer, model, key, runs, plan):
-        result = real(recognizer, model, key, runs, plan)
-        if runs > 1:  # corrupt both timed paths identically; warm-ups stay clean
-            scores = dict(result.scores)
-            first = next(iter(scores))
-            scores[first] = scores[first] + Fraction(1, 7)
-            return RecognitionResult(
-                predicted=result.predicted,
-                scores=scores,
-                recalled=result.recalled,
-                runs=result.runs,
-                timings_ns=result.timings_ns,
-            )
+    def sabotaged(model, key, plan=None):
+        result = real(model, key, plan)
+        name = "parallel" if plan is not None else "serial"
+        calls[name] += 1
+        if name == path and calls[name] == 3:  # the path's warm-up and run 1 stay clean; run 2 scores 'a' 1/7
+            return dataclasses.replace(result, scores={**result.scores, "a": Fraction(1, 7)})
         return result
 
-    monkeypatch.setattr(amnocr.bench, "_repeat", sabotaged)
-    keys = [LabeledPattern("a", ortho_model.entries[0].pattern)]
-    with pytest.raises(InvariantError, match="single run"):
-        run_benchmark(ortho_model, keys, runs=2)
+    monkeypatch.setattr(amnocr.bench, "_recognize_dense", sabotaged)
+    with pytest.raises(InvariantError) as exc:
+        run_benchmark(model, [LabeledPattern("a", model.entries[0].pattern)], ExecPlan(threads=2), runs=3)
+    assert type(exc.value) is InvariantError
+    assert str(exc.value) == (
+        f"{path} run 2 differs from its warm-up for key 'a' at score of label 'a': warm-up 100, run 1/7"
+    )
 
 
 DENSE_KERNELS = ("zero_weights", "train_pair", "par_train_pair", "net_input", "threshold", "par_net_input")

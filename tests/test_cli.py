@@ -1,16 +1,19 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+import amnocr.bench
 import amnocr.bmp
 import amnocr.cli
 import amnocr.core
 import oracles
 from amnocr import (
     ParallelDivergenceError,
+    Pattern,
     RecognizerModel,
     build_model,
     format_pct,
@@ -351,6 +354,36 @@ def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_timed_run_differing_from_its_warm_up_exits_3(tmp_path, capsys, monkeypatch):
+    manifest, _, rows = _write_store(tmp_path, order=4)
+    real = amnocr.bench._recognize_dense
+    parallel_calls = []
+
+    def sabotaged(model, key, plan=None):
+        result = real(model, key, plan)
+        if plan is not None:
+            parallel_calls.append(None)
+            # Key 'a' makes the first 4 parallel calls, warm-up and 3 runs; 'b' then makes its warm-up
+            # and run 1, and its run 2 has cell 2 flipped.
+            if len(parallel_calls) == 7:
+                recalled = result.recalled
+                cells = recalled.cells.copy()
+                cells[2] = -cells[2]
+                return dataclasses.replace(result, recalled=Pattern(recalled.width, recalled.height, cells))
+        return result
+
+    monkeypatch.setattr(amnocr.bench, "_recognize_dense", sabotaged)
+    code = main(
+        ["bench", "--store", str(manifest), "--keys", str(manifest), "--runs", "3", "--out", str(tmp_path / "o")]
+    )
+    cell = int(rows[1].cells[2])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"internal error: parallel run 2 differs from its warm-up for key 'b' at recalled cell 2: "
+        f"warm-up {cell}, run {-cell}\n"
+    )
 
 
 # --- noise sweep ---

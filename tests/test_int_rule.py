@@ -24,7 +24,6 @@ from amnocr import (
     flip_noise,
     noise_sweep,
     partition_static,
-    repeat_recognize,
     run_benchmark,
     zero_weights,
 )
@@ -46,7 +45,6 @@ ENTRY_POINTS = {
     "ExecPlan chunk": (lambda v: ExecPlan(threads=1, chunk=v), 1, None),
     "partition_static index count": (lambda v: partition_static(v, ONE), 1, None),
     "zero_weights weight dimension": (lambda v: zero_weights(v), 1, None),
-    "repeat_recognize runs": (lambda v: repeat_recognize(MODEL, KEY, runs=v), 1, None),
     "run_benchmark runs": (lambda v: run_benchmark(MODEL, [LabeledPattern("a", KEY)], ONE, runs=v), 1, None),
     "noise_sweep runs": (lambda v: noise_sweep(MODEL, [0.5], 1, ONE, runs=v), 1, None),
     "noise_sweep seed": (lambda v: noise_sweep(MODEL, [0.5], v), 0, None),

@@ -18,7 +18,6 @@ from amnocr import (
     match_score,
     recall,
     recognize,
-    repeat_recognize,
     store_patterns,
 )
 from amnocr.bench import _recognize_dense
@@ -165,56 +164,10 @@ def test_literal_mode_parallel_matches_serial():
     assert recognize(model, key, ExecPlan(threads=3, chunk=2)).same_outcome(base)
 
 
-# --- repetition ---
-
-
-def test_repeat_matches_single_run(hadamard_model):
-    key = hadamard_model.entries[2].pattern
-    once = recognize(hadamard_model, key)
-    five = repeat_recognize(hadamard_model, key, runs=5)
-    assert five.scores == once.scores
-    assert five.predicted == once.predicted
-    assert five.runs == 5
-    assert len(five.timings_ns) == 5
-    assert all(t > 0 for t in five.timings_ns)
-
-
-def test_repeat_runs_one_equals_recognize(hadamard_model):
-    key = hadamard_model.entries[0].pattern
-    assert repeat_recognize(hadamard_model, key, runs=1).same_outcome(
-        recognize(hadamard_model, key)
-    )
-
-
 def test_first_difference_names_the_recalled_geometries():
     result = RecognitionResult(predicted="a", scores={"a": Fraction(100)}, recalled=bipolar([1, -1]))
     other = dataclasses.replace(result, recalled=bipolar([1, -1], width=1, height=2))
     assert result.first_difference(other) == ("recalled geometry", "2x1", "1x2")
-
-
-def test_repeat_mean_of_identical_values_is_exact(hadamard_model):
-    key = hadamard_model.entries[1].pattern
-    five = repeat_recognize(hadamard_model, key, runs=5)
-    assert five.scores[five.predicted] == Fraction(100)
-
-
-def test_repeat_takes_the_exact_mean_when_runs_differ(hadamard_model, monkeypatch):
-    # recognize is deterministic, so only a stand-in can make runs differ: 3 runs of the
-    # first scores and 2 of the second. The mean's winner is not the first run's.
-    first = RecognitionResult(predicted="b", scores={"a": Fraction(100, 3), "b": Fraction(50)}, recalled=bipolar([1]))
-    second = RecognitionResult(predicted="a", scores={"a": Fraction(90), "b": Fraction(1, 7)}, recalled=bipolar([-1]))
-    calls = iter([first, second] * 3)
-    monkeypatch.setattr(importlib.import_module("amnocr.recognize"), "recognize", lambda *args: next(calls))
-    five = repeat_recognize(hadamard_model, hadamard_model.entries[0].pattern, runs=5)
-    assert five.scores == {"a": Fraction(56), "b": Fraction(1052, 35)}
-    assert five.predicted == "a"
-    assert five.recalled is first.recalled  # the last run's
-    assert (five.runs, len(five.timings_ns)) == (5, 5)
-
-
-def test_repeat_rejects_zero_runs(hadamard_model):
-    with pytest.raises(ValueError, match="runs"):
-        repeat_recognize(hadamard_model, hadamard_model.entries[0].pattern, runs=0)
 
 
 def test_ranking_is_sorted_best_first(glyph_model_52):
@@ -385,8 +338,8 @@ def test_recognition_result_has_slots_and_no_dict(hadamard_model):
     assert not hasattr(result, "__dict__")
     with pytest.raises(AttributeError):
         result.note = "x"
-    other = dataclasses.replace(result, predicted="z", runs=3)
-    assert (other.predicted, other.runs, other.scores, other.recalled) == ("z", 3, result.scores, result.recalled)
+    other = dataclasses.replace(result, predicted="z")
+    assert (other.predicted, other.scores, other.recalled) == ("z", result.scores, result.recalled)
     assert result.predicted == "a"
 
 
