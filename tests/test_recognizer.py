@@ -20,7 +20,7 @@ from amnocr import (
     recognize,
     store_patterns,
 )
-from amnocr.bench import _recognize_dense
+from amnocr.bench import _recognize_dense, run_benchmark
 from amnocr.recognize import RecognitionResult
 from helpers import bipolar, hadamard_rows, labeled, peak_bytes, random_pattern
 
@@ -162,6 +162,22 @@ def test_literal_mode_parallel_matches_serial():
     key = random_pattern(rng, 20)
     base = recognize(model, key)
     assert recognize(model, key, ExecPlan(threads=3, chunk=2)).same_outcome(base)
+
+
+# --- repetition ---
+
+
+def test_repeat_matches_single_run(hadamard_model):
+    key = hadamard_model.entries[2].pattern
+    once = recognize(hadamard_model, key)
+    for _ in range(5):
+        assert recognize(hadamard_model, key).same_outcome(once)
+    (row,) = run_benchmark(hadamard_model, [LabeledPattern("c", key)], runs=5)
+    assert row.predicted_label == once.predicted
+    assert row.match_pct == float(once.scores[once.predicted])
+    assert row.runs == 5
+    assert len(row.serial.samples) == 5
+    assert all(t > 0 for t in row.serial.samples + row.parallel.samples)
 
 
 def test_first_difference_names_the_recalled_geometries():
