@@ -24,11 +24,11 @@ from amnocr import (
 )
 
 print("Round-robin block assignment, n=10, threads=2, chunk=3:")
-for worker, ranges in enumerate(partition_static(10, ExecPlan(threads=2, chunk=3)).ranges):
+for worker, ranges in enumerate(partition_static(10, ExecPlan(threads=2, chunk=3))):
     print(f"  worker {worker}: {list(ranges)}")
 
 print("\nDefault chunk is one block per worker (n=1209, threads=4):")
-for worker, ranges in enumerate(partition_static(1209, ExecPlan(threads=4)).ranges):
+for worker, ranges in enumerate(partition_static(1209, ExecPlan(threads=4))):
     print(f"  worker {worker}: {list(ranges)}")
 
 n = 1209

@@ -12,7 +12,7 @@ After the headers are checked, decoding works on whole arrays:
    bytes), reversed for bottom-up files (positive height field), so row 0 is
    always the top row and nothing is copied.
 2. Before any per-pixel array is made, width x height x ``_BYTES_PER_PIXEL``
-   is checked against ``core.MAX_WEIGHT_BYTES``.
+   is checked against ``errors.MAX_WEIGHT_BYTES``.
 3. 24-bit rows go to integer luma over their B, G, R bytes, then through
    ``lookup``.
 4. A paletted file's lumas, at most 256, go through ``lookup`` first. Its
@@ -40,6 +40,7 @@ from .errors import (
     BmpHeaderError,
     BmpPaletteError,
     BmpTruncatedError,
+    _check_budget,
     _check_int,
 )
 
@@ -175,7 +176,7 @@ def decode_bmp(data: bytes) -> PixelGrid:
     Raises a distinct :class:`~amnocr.errors.BmpError` subclass for each
     failure mode: malformed header, unsupported compression, unsupported bit
     depth, palette index out of range, truncated palette or pixel data. A
-    file whose pixels would take more than ``core.MAX_WEIGHT_BYTES`` to
+    file whose pixels would take more than ``errors.MAX_WEIGHT_BYTES`` to
     decode raises :class:`~amnocr.errors.MemoryBudgetError` before they are.
     """
     width, height, values = _decode(data, None)
@@ -252,7 +253,7 @@ def _decode(data: bytes, lookup: bytes | None) -> tuple[int, int, np.ndarray]:
             f"at offset {data_offset}, file has {max(0, len(data) - data_offset)}"
         )
     # After the truncation check, so that a header's claim alone never raises it.
-    core._check_budget(f"a {width}x{n_rows} BMP", _BYTES_PER_PIXEL * width * n_rows, "its decoded pixels")
+    _check_budget(f"a {width}x{n_rows} BMP", _BYTES_PER_PIXEL * width * n_rows, "its decoded pixels")
 
     rows = np.frombuffer(data, np.uint8, row_stride * n_rows, data_offset).reshape(n_rows, row_stride)
     if not top_down:
@@ -277,8 +278,3 @@ def _decode(data: bytes, lookup: bytes | None) -> tuple[int, int, np.ndarray]:
             f"at row {row}, column {col}"
         )
     return width, n_rows, np.frombuffer(indices.tobytes().translate(palette.ljust(256, b"\0")), np.uint8)
-
-
-# core imports _Grid from this module, so it is bound here, after it, in
-# whichever order the two are first imported.
-from . import core  # noqa: E402

@@ -162,7 +162,8 @@ def cmd_ingest(args) -> int:
             pattern = _bmp_pattern(data, args.policy)
             del data
             out_path = out_dir / (path.stem + ".amnpat")
-            out_path.write_text(write_pattern_text(pattern, path.stem), encoding="utf-8")
+            # Encoded first, so that a text that cannot be encoded leaves no file behind.
+            out_path.write_bytes(write_pattern_text(pattern, path.stem).encode("utf-8"))
         except (AmnError, OSError, ValueError) as exc:  # ValueError: a stem that cannot be a label
             print(f"error: {prefix}{exc}", file=sys.stderr)
             failed += 1

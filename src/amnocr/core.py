@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bmp import _Grid
-from .errors import MemoryBudgetError, _check_int
+from .errors import _check_budget, _check_int
 from .patterns import Pattern, _from_mask
 
 __all__ = [
@@ -34,11 +34,6 @@ __all__ = [
     "format_pct",
 ]
 
-# The most bytes a dense n x n computation may hold at once. The reference
-# 31x39 glyphs need 11.7 MB per int64 W; a 150x150 glyph would need 4 GB,
-# which should end in a typed error, not in an allocation failure.
-MAX_WEIGHT_BYTES = 1 << 30
-
 # float32 holds every integer of magnitude up to here exactly (see _exact_float).
 _FLOAT32_EXACT = 1 << 24
 
@@ -51,20 +46,11 @@ def _exact_float(bound: int) -> np.dtype:
     width, in whatever order the terms are added: float32 holds every integer
     up to 2**24 and float64 every integer up to 2**53. So float64 is exact
     for every store the budget admits: recognition's int8 k x n stack and
-    its float64 copy take k * n * (1 + 8) bytes, ``MAX_WEIGHT_BYTES`` (2**30)
-    caps k * n at 119,304,647, and no product on the stack sums past
+    its float64 copy take k * n * (1 + 8) bytes, ``errors.MAX_WEIGHT_BYTES``
+    (2**30) caps k * n at 119,304,647, and no product on the stack sums past
     max(k, 2) * n <= 2 * k * n < 2**53.
     """
     return np.dtype(np.float32 if bound <= _FLOAT32_EXACT else np.float64)
-
-
-def _check_budget(who: str, needed: int, what: str) -> None:
-    """Raise :class:`MemoryBudgetError` naming ``who`` unless ``needed`` bytes fit ``MAX_WEIGHT_BYTES``."""
-    if needed > MAX_WEIGHT_BYTES:
-        raise MemoryBudgetError(
-            f"{who} needs {needed} bytes for {what}, "
-            f"over the budget of {MAX_WEIGHT_BYTES} bytes (MAX_WEIGHT_BYTES)"
-        )
 
 
 def _check_weight_budget(n: int, matrices: int = 1) -> None:

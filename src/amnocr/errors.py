@@ -1,9 +1,13 @@
-"""Exception types for data errors and internal invariant breaches.
+"""Exception types for data errors and internal invariant breaches, and the rules that raise them.
 
 Data problems (bad files, bad manifests) raise ``AmnError`` subclasses so
 callers can tell them from programming errors (``ValueError``, such as a bad
 count or flip rate, see ``_check_int`` and ``_check_rates``) and from
 invariant breaches (``InvariantError``).
+
+The count, rate and memory-budget rules live here, below every other module,
+which imports them from here. ``MAX_WEIGHT_BYTES`` is the budget's one copy,
+so a patch of ``amnocr.errors.MAX_WEIGHT_BYTES`` reaches every check.
 """
 
 import numbers
@@ -68,6 +72,21 @@ class InvariantError(RuntimeError):
 
 class ParallelDivergenceError(InvariantError):
     """Serial and parallel execution paths produced different results."""
+
+
+# The most bytes a dense n x n computation may hold at once. The reference
+# 31x39 glyphs need 11.7 MB per int64 W; a 150x150 glyph would need 4 GB,
+# which should end in a typed error, not in an allocation failure.
+MAX_WEIGHT_BYTES = 1 << 30
+
+
+def _check_budget(who: str, needed: int, what: str) -> None:
+    """Raise :class:`MemoryBudgetError` naming ``who`` unless ``needed`` bytes fit ``MAX_WEIGHT_BYTES``."""
+    if needed > MAX_WEIGHT_BYTES:
+        raise MemoryBudgetError(
+            f"{who} needs {needed} bytes for {what}, "
+            f"over the budget of {MAX_WEIGHT_BYTES} bytes (MAX_WEIGHT_BYTES)"
+        )
 
 
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:

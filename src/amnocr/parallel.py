@@ -46,10 +46,7 @@ def _default_threads() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if value > MAX_THREADS:
-        raise ValueError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {raw!r}")
+    _check_int(THREADS_ENV_VAR, value, 1, MAX_THREADS)
     return value
 
 
@@ -77,29 +74,23 @@ class ExecPlan:
         return self.chunk if self.chunk is not None else math.ceil(n / self.threads)
 
 
-@dataclass(frozen=True)
-class IndexAssignment:
-    """Half-open index ranges per worker; a disjoint exact cover of 0..n."""
-
-    ranges: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def partition_static(n: int, plan: ExecPlan) -> IndexAssignment:
+def partition_static(n: int, plan: ExecPlan) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Split 0..n into consecutive ``chunk``-sized blocks, round-robin.
 
-    Block b covers [b*chunk, min((b+1)*chunk, n)) and goes to worker
-    b mod threads; the last block may be short.
+    Returns one tuple of half-open (start, end) ranges per worker, a disjoint
+    exact cover of 0..n. Block b covers [b*chunk, min((b+1)*chunk, n)) and
+    goes to worker b mod threads; the last block may be short.
     """
     _check_int("index count", n, 1)
     chunk = plan.chunk_for(n)
     per_worker: list[list[tuple[int, int]]] = [[] for _ in range(plan.threads)]
     for b, start in enumerate(range(0, n, chunk)):
         per_worker[b % plan.threads].append((start, min(start + chunk, n)))
-    return IndexAssignment(ranges=tuple(tuple(r) for r in per_worker))
+    return tuple(tuple(r) for r in per_worker)
 
 
-def _run_team(assignment: IndexAssignment, work) -> None:
-    """Call ``work(start, end)`` on every range, each worker's ranges on one thread.
+def _run_team(per_worker: tuple[tuple[tuple[int, int], ...], ...], work) -> None:
+    """Call ``work(start, end)`` on every range of ``per_worker``, each worker's ranges on one thread.
 
     The calling thread takes the first worker with ranges and a new thread
     each other one; a worker whose range list is empty gets none, so a team
@@ -117,7 +108,7 @@ def _run_team(assignment: IndexAssignment, work) -> None:
         except BaseException as exc:  # propagated after join
             failures.append(exc)
 
-    first, *others = [ranges for ranges in assignment.ranges if ranges]
+    first, *others = [ranges for ranges in per_worker if ranges]
     team = [threading.Thread(target=guarded, args=(ranges,)) for ranges in others]
     for t in team:
         t.start()

@@ -30,7 +30,7 @@ from stat import S_ISDIR
 import numpy as np
 
 from .bmp import PixelGrid, _decode, _Grid
-from .errors import InvariantError, ManifestError, PatternFormatError, _check_int, _check_rates
+from .errors import InvariantError, ManifestError, PatternFormatError, _check_budget, _check_int, _check_rates
 
 __all__ = [
     "Pattern",
@@ -279,7 +279,7 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline t
 
 
 def _read_file(name: str | Path) -> bytes:
-    """The bytes of the file ``name``, whose size is checked against ``core.MAX_WEIGHT_BYTES`` first.
+    """The bytes of the file ``name``, whose size is checked against ``errors.MAX_WEIGHT_BYTES`` first.
 
     Every file the package reads, manifest, glyph or ``ingest`` input, is
     read here. A file of the size ``fstat`` states takes one ``os.read``
@@ -293,7 +293,7 @@ def _read_file(name: str | Path) -> bytes:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(name))
         size = stat.st_size
         del stat  # its two dozen field objects would otherwise be held through the read
-        core._check_budget(str(name), size, "the file's contents")
+        _check_budget(str(name), size, "the file's contents")
         data = os.read(fd, size + 1)
         if len(data) > size:  # a file that grew, or a pipe: read on to its end
             with open(fd, "rb", closefd=False) as fh:
@@ -314,7 +314,7 @@ def load_pattern_file(path: str | Path, policy: BinarizePolicy | None = None) ->
 
     BMP files are decoded and binarized with ``policy``; AMNPAT files are
     already bipolar (their embedded label is ignored here). A file larger
-    than ``core.MAX_WEIGHT_BYTES`` raises :class:`MemoryBudgetError` before
+    than ``errors.MAX_WEIGHT_BYTES`` raises :class:`MemoryBudgetError` before
     it is read.
     """
     return _load_file(str(Path(path)), policy or _DEFAULT_POLICY)
@@ -360,7 +360,7 @@ def load_manifest(path: str | Path, policy: BinarizePolicy | None = None) -> lis
     entries are decoded and binarized with ``policy``; AMNPAT entries are
     read as-is (the manifest label wins over the embedded one). All patterns
     must share one width x height. The manifest and each entry larger than
-    ``core.MAX_WEIGHT_BYTES`` raise :class:`MemoryBudgetError` before they are
+    ``errors.MAX_WEIGHT_BYTES`` raise :class:`MemoryBudgetError` before they are
     read.
     """
     policy = policy or _DEFAULT_POLICY
@@ -430,10 +430,3 @@ def flip_noise(pattern: Pattern, rate: float, seed: int) -> Pattern:
     cells = pattern.cells.copy()
     cells[indices] = -cells[indices]
     return Pattern(width=pattern.width, height=pattern.height, cells=cells)
-
-
-# core imports Pattern and _from_mask from this module, so it is bound here,
-# after them, in whichever order the two are first imported. An import inside
-# _read_file cost each file loaded about 2.5 us (2-vCPU KVM host,
-# Python 3.11.7).
-from . import core  # noqa: E402

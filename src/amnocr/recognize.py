@@ -31,7 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _check_budget, _exact_float, store_patterns
+from .core import _exact_float, store_patterns
+from .errors import _check_budget
 from .parallel import ExecPlan
 from .patterns import LabeledPattern, Pattern, _from_mask
 
@@ -128,7 +129,7 @@ def build_model(entries, mode: str = "superposed") -> RecognizerModel:
     bound caps every partial sum of recall, the overlaps |P·key| <= n, the
     net inputs |a| <= k * n and the agreement sums n + P·r <= 2 * n. The int8
     stack and that copy, k * n * (1 + itemsize) bytes, are checked against
-    ``MAX_WEIGHT_BYTES`` first. Literal mode keeps no stack.
+    ``errors.MAX_WEIGHT_BYTES`` first. Literal mode keeps no stack.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -153,7 +153,7 @@ def test_c06_static_partition_soundness():
         n = int(rng.integers(1, 5000))
         plan = ExecPlan(threads=int(rng.integers(1, 65)), chunk=int(rng.integers(1, n + 8)))
         hits = np.zeros(n, dtype=np.int64)
-        for ranges in partition_static(n, plan).ranges:
+        for ranges in partition_static(n, plan):
             for start, end in ranges:
                 assert 0 <= start < end <= n
                 hits[start:end] += 1

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-import amnocr.core
+import amnocr.errors
 from amnocr import (
     BmpBitDepthError,
     BmpCompressionError,
@@ -209,7 +209,7 @@ def test_decoding_is_checked_against_the_budget_before_the_pixels_are(tmp_path, 
     path = tmp_path / "g.bmp"
     path.write_bytes(data)
     need = _BYTES_PER_PIXEL * 64 * 64
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", need - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", need - 1)
     message = f"^a 64x64 BMP needs {need} bytes for its decoded pixels, over the budget of {need - 1} bytes"
     for decode in (lambda: decode_bmp(data), lambda: load_pattern_file(path)):
         with pytest.raises(MemoryBudgetError, match=message):
@@ -220,7 +220,7 @@ def test_decoding_is_checked_against_the_budget_before_the_pixels_are(tmp_path, 
             decode_bmp(data)
 
     assert peak_bytes(rejected) < 64 * 64  # less than one byte a pixel was allocated
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", need)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", need)
     assert decode_bmp(data).values.size == load_pattern_file(path).n == 64 * 64
 
 
@@ -229,6 +229,6 @@ def test_a_header_claim_alone_stays_a_truncation_error(monkeypatch):
     # 4000x4000 pixels and holds none fails as it did before the check existed.
     data = bytearray(make_bmp([[0]], depth=1)[: 14 + 40 + 8])  # headers and palette only
     data[18:26] = struct.pack("<ii", 4000, 4000)
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 0)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", 0)
     with pytest.raises(BmpTruncatedError, match="pixel data truncated: needs 2000000 bytes"):
         decode_bmp(bytes(data))

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import amnocr.bench
 import amnocr.bmp
 import amnocr.cli
-import amnocr.core
+import amnocr.errors
 import oracles
 from amnocr import (
     ParallelDivergenceError,
@@ -105,6 +106,35 @@ def test_ingest_reports_a_stem_that_cannot_be_a_label_and_continues(tmp_path, ca
     assert [p.name for p in out.iterdir()] == ["good.amnpat"]
 
 
+def test_ingest_leaves_no_file_for_a_stem_that_cannot_be_encoded(tmp_path):
+    # A stem of bytes that are not UTF-8 is a lone surrogate in its str, which
+    # the AMNPAT text cannot encode: no file is opened, so none is truncated.
+    # Run as a user runs it, since stderr prints the surrogate as "\udcff".
+    src = tmp_path / "bmp"
+    src.mkdir()
+    blob = make_bmp(glyph_index_rows(4, 4, seed=1), depth=4)
+    try:
+        (src / os.fsdecode(b"\xff.bmp")).write_bytes(blob)
+    except (OSError, UnicodeError):
+        pytest.skip("this filesystem rejects a file name that is not UTF-8")
+    (src / "good.bmp").write_bytes(blob)
+    out = tmp_path / "pat"
+    argv = [sys.executable, "-m", "amnocr", "ingest", str(src), "--out", str(out)]
+    error = (
+        f"error: {src}{os.sep}\\udcff.bmp: "
+        "'utf-8' codec can't encode character '\\udcff' in position 13: surrogates not allowed\n"
+    )
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, error)
+    assert proc.stdout == f"good {out / 'good.amnpat'} 4x4\n"
+    assert [p.name for p in out.iterdir()] == ["good.amnpat"]
+    (out / "\udcff.amnpat").write_bytes(b"kept")
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, error)
+    assert (out / "\udcff.amnpat").read_bytes() == b"kept"
+    assert sorted(p.name for p in out.iterdir()) == ["good.amnpat", "\udcff.amnpat"]
+
+
 def test_ingest_named_files(tmp_path, capsys):
     blob = make_bmp(glyph_index_rows(4, 4, seed=1), depth=4)
     for name in ("Q.bmp", "R.img"):  # a named file is read whatever its suffix
@@ -128,7 +158,7 @@ def test_ingest_input_over_the_budget_is_reported_and_skipped(tmp_path, capsys, 
     large = make_bmp(glyph_index_rows(12, 12, seed=2), depth=4)
     (tmp_path / "small.bmp").write_bytes(small)
     (tmp_path / "large.bmp").write_bytes(large)
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", len(large) - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", len(large) - 1)
     out = tmp_path / "pat"
     assert main(["ingest", str(tmp_path / "large.bmp"), str(tmp_path / "small.bmp"), "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -147,7 +177,7 @@ def test_bmp_over_the_decode_budget_exits_1(tmp_path, capsys, monkeypatch):
     key.write_bytes(make_bmp(glyph_index_rows(12, 12, seed=2), depth=4))
     manifest, _, _ = _write_store(tmp_path)
     need = amnocr.bmp._BYTES_PER_PIXEL * 144
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", need - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", need - 1)
     assert main(["recognize", "--store", str(manifest), "--key", str(key)]) == 1
     assert capsys.readouterr().err == (
         f"error: a 12x12 BMP needs {need} bytes for its decoded pixels, "
@@ -271,7 +301,7 @@ def test_bench_over_the_weight_budget_exits_1(tmp_path, capsys, monkeypatch, mod
     # literal bench starts from zero_weights (128 bytes), then each train_pair
     # holds its argument, a copy and an outer product (384 bytes).
     manifest, _, rows = _write_store(tmp_path, order=4)
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", budget)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", budget)
     argv = ["bench", "--store", str(manifest), "--keys", str(manifest), "--mode", mode, "--runs", "1"]
     assert main([*argv, "--out", str(tmp_path / "results")]) == 1
     err = capsys.readouterr().err
@@ -289,7 +319,7 @@ def test_glyph_file_over_the_budget_exits_1(tmp_path, capsys, monkeypatch):
     key = tmp_path / "key.amnpat"
     key.write_text(write_pattern_text(rows[0], "k" * 100), encoding="utf-8")
     size = key.stat().st_size
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", size - 1)
     assert main(["recognize", "--store", str(manifest), "--key", str(key)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} needs {size} bytes for the file's contents")

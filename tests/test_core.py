@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import amnocr.core
+import amnocr.errors
 import oracles
 from amnocr import (
     ActivationVector,
@@ -47,26 +48,26 @@ def test_zero_weights():
 
 def test_weight_budget_is_checked_before_allocating(monkeypatch):
     # Lower the budget rather than allocate a matrix that breaks it.
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 8 * 4 * 4)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", 8 * 4 * 4)
     assert zero_weights(4).shape == (4, 4)
     with pytest.raises(MemoryBudgetError, match=r"n=5 needs 200 bytes .* budget of 128 bytes"):
         zero_weights(5)
     # store_patterns holds the float64 product and its int64 copy at once.
     with pytest.raises(MemoryBudgetError, match=r"n=4 needs 256 bytes .* budget of 128 bytes"):
         store_patterns([A, B])
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 256)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", 256)
     assert store_patterns([A, B]).tolist() == STORE_AB
 
 
 def test_train_pair_checks_the_weight_budget(monkeypatch):
     # The argument, its copy and one outer product: 3 * 8 * n * n bytes.
     w = zero_weights(4)
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 383)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", 383)
     with pytest.raises(MemoryBudgetError, match=r"n=4 needs 384 bytes .* budget of 383 bytes"):
         train_pair(w, A, B)
     with pytest.raises(MemoryBudgetError, match=r"n=4 needs 384 bytes .* budget of 383 bytes"):
         par_train_pair(w, A, B, ExecPlan(threads=2))
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", 384)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", 384)
     assert np.array_equal(par_train_pair(w, A, B, ExecPlan(threads=2)), train_pair(w, A, B))
 
 
@@ -145,7 +146,7 @@ def test_exact_float_switches_width_past_two_to_the_24():
 def test_float64_is_exact_for_every_stack_the_budget_admits():
     # The int8 stack and its float64 copy take 9 bytes a cell, so k * n <= MAX_WEIGHT_BYTES // 9,
     # and float64 holds every integer up to 2**53; recall sums no more than 2 * k * n.
-    assert 2 * (amnocr.core.MAX_WEIGHT_BYTES // 9) < 2**53
+    assert 2 * (amnocr.errors.MAX_WEIGHT_BYTES // 9) < 2**53
 
 
 @pytest.mark.parametrize("order", list(permutations(range(3))))

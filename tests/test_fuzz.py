@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import amnocr.core
+import amnocr.errors
 import oracles
 from amnocr import (
     BinarizePolicy,
@@ -455,7 +455,7 @@ def test_cli_exits_1_exactly_when_over_the_budget(order, command, mode, data):
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
-            mp.setattr(amnocr.core, "MAX_WEIGHT_BYTES", budget)
+            mp.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", budget)
             code = main(argv)
     over = [need for need in needs if need > budget]
     assert code == (1 if over else 0), err.getvalue()

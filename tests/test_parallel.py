@@ -25,31 +25,31 @@ B = bipolar([1, 1, -1, -1])
 
 def test_partition_round_robin_example():
     assignment = partition_static(10, ExecPlan(threads=2, chunk=3))
-    assert assignment.ranges == (((0, 3), (6, 9)), ((3, 6), (9, 10)))
+    assert assignment == (((0, 3), (6, 9)), ((3, 6), (9, 10)))
 
 
 def test_partition_single_worker_gets_everything():
     assignment = partition_static(10, ExecPlan(threads=1, chunk=4))
-    assert assignment.ranges == (((0, 4), (4, 8), (8, 10)),)
+    assert assignment == (((0, 4), (4, 8), (8, 10)),)
 
 
 def test_partition_default_chunk_is_one_block_per_worker():
     plan = ExecPlan(threads=4)
     assert plan.chunk_for(1209) == 303
     assignment = partition_static(1209, plan)
-    assert assignment.ranges == (((0, 303),), ((303, 606),), ((606, 909),), ((909, 1209),))
+    assert assignment == (((0, 303),), ((303, 606),), ((606, 909),), ((909, 1209),))
 
 
 def test_partition_more_workers_than_blocks():
     assignment = partition_static(3, ExecPlan(threads=8, chunk=2))
-    assert assignment.ranges[0] == ((0, 2),)
-    assert assignment.ranges[1] == ((2, 3),)
-    assert all(r == () for r in assignment.ranges[2:])
+    assert assignment[0] == ((0, 2),)
+    assert assignment[1] == ((2, 3),)
+    assert all(r == () for r in assignment[2:])
 
 
 def _coverage_is_exact(assignment, n):
     hits = np.zeros(n, dtype=np.int64)
-    for ranges in assignment.ranges:
+    for ranges in assignment:
         for start, end in ranges:
             assert 0 <= start < end <= n
             hits[start:end] += 1
@@ -91,10 +91,10 @@ def test_plan_env_override(monkeypatch):
 
 def test_plan_env_invalid(monkeypatch):
     monkeypatch.setenv("AMN_THREADS", "zero")
-    with pytest.raises(ValueError, match="AMN_THREADS"):
+    with pytest.raises(ValueError, match=r"^AMN_THREADS must be a positive integer, got 'zero'$"):
         ExecPlan()
     monkeypatch.setenv("AMN_THREADS", "-2")
-    with pytest.raises(ValueError, match="AMN_THREADS"):
+    with pytest.raises(ValueError, match=r"^AMN_THREADS must be >= 1, got -2$"):
         ExecPlan()
 
 
@@ -102,7 +102,7 @@ def test_plan_thread_ceiling():
     # Only plans are built here; no team is started.
     assert MAX_THREADS == 256
     plan = ExecPlan(threads=MAX_THREADS, chunk=1)
-    assert len(partition_static(3, plan).ranges) == MAX_THREADS
+    assert len(partition_static(3, plan)) == MAX_THREADS
     with pytest.raises(ValueError, match="threads must be at most 256, got 257"):
         ExecPlan(threads=MAX_THREADS + 1)
 
@@ -111,7 +111,7 @@ def test_plan_env_above_ceiling(monkeypatch):
     monkeypatch.setenv("AMN_THREADS", str(MAX_THREADS))
     assert ExecPlan().threads == MAX_THREADS
     monkeypatch.setenv("AMN_THREADS", "100000")
-    with pytest.raises(ValueError, match="AMN_THREADS must be at most 256, got '100000'"):
+    with pytest.raises(ValueError, match=r"^AMN_THREADS must be at most 256, got 100000$"):
         ExecPlan()
 
 
@@ -220,7 +220,7 @@ def test_owner_computes_write_tracking():
     for n, threads, chunk in ((17, 3, 2), (1209, 4, 303), (100, 7, 1)):
         assignment = partition_static(n, ExecPlan(threads=threads, chunk=chunk))
         owner = np.full(n, -1, dtype=np.int64)
-        for worker_id, ranges in enumerate(assignment.ranges):
+        for worker_id, ranges in enumerate(assignment):
             for start, end in ranges:
                 assert (owner[start:end] == -1).all(), "cell written twice"
                 owner[start:end] = worker_id

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import amnocr.core
+import amnocr.errors
 import amnocr.patterns
 import oracles
 from amnocr import (
@@ -422,10 +422,10 @@ def test_load_pattern_file_checks_its_size_before_reading(tmp_path, monkeypatch)
     path = tmp_path / "g.amnpat"
     path.write_text(write_pattern_text(bipolar([1, -1, 1]), "g"), encoding="utf-8")
     size = path.stat().st_size
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", size - 1)
     with pytest.raises(MemoryBudgetError, match=f"g.amnpat needs {size} bytes for the file's contents"):
         load_pattern_file(path)
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", size)
     assert load_pattern_file(path) == bipolar([1, -1, 1])
     # A sparse 1 MiB file over the budget is rejected without reading it into memory.
     with open(path, "r+b") as fh:
@@ -443,7 +443,7 @@ def test_manifest_over_the_budget_is_rejected_before_a_row_is_read(tmp_path, mon
     manifest = tmp_path / "store.csv"
     manifest.write_text("label,path\nA,missing.bmp\n", encoding="utf-8")
     size = manifest.stat().st_size
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", size - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", size - 1)
     with pytest.raises(MemoryBudgetError) as err:
         load_manifest(manifest)
     assert str(err.value) == (
@@ -556,7 +556,7 @@ def test_manifest_errors_name_the_entry_as_a_path_prints_it(tmp_path, monkeypatc
     with pytest.raises(PatternFormatError) as err:
         load_manifest(manifest)
     assert str(err.value) == f"{shown}: neither a BMP nor an AMNPAT file"
-    monkeypatch.setattr(amnocr.core, "MAX_WEIGHT_BYTES", len(junk) - 1)
+    monkeypatch.setattr(amnocr.errors, "MAX_WEIGHT_BYTES", len(junk) - 1)
     with pytest.raises(MemoryBudgetError) as err:
         load_manifest(manifest)
     assert str(err.value) == (

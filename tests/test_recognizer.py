@@ -321,13 +321,13 @@ def test_float32_stack_equals_float64_on_hadamard_stores(order):
 @pytest.mark.parametrize("bound, dtype, need", [(1 << 24, np.float32, 8 * 8 * 5), (0, np.float64, 8 * 8 * 9)])
 def test_build_model_checks_the_stack_budget(monkeypatch, bound, dtype, need):
     # The int8 stack and its float32 or float64 copy: k * n * (1 + itemsize) bytes.
-    core = importlib.import_module("amnocr.core")
-    monkeypatch.setattr(core, "_FLOAT32_EXACT", bound)
+    errors = importlib.import_module("amnocr.errors")
+    monkeypatch.setattr(importlib.import_module("amnocr.core"), "_FLOAT32_EXACT", bound)
     entries = labeled(hadamard_rows(8))  # k = n = 8
-    monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", need - 1)
+    monkeypatch.setattr(errors, "MAX_WEIGHT_BYTES", need - 1)
     with pytest.raises(MemoryBudgetError, match=rf"k=8, n=8 needs {need} bytes .* budget of {need - 1} bytes"):
         build_model(entries)
-    monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", need)
+    monkeypatch.setattr(errors, "MAX_WEIGHT_BYTES", need)
     assert build_model(entries)._targets.dtype == dtype
 
 
@@ -397,13 +397,13 @@ def test_one_pass_ranking_matches_match_score_per_label(store):
 
 def test_weights_check_the_memory_budget(monkeypatch):
     # The float64 product and its int64 copy: 2 * 8 * n * n bytes.
-    core = importlib.import_module("amnocr.core")
+    errors = importlib.import_module("amnocr.errors")
     model = build_model(labeled(hadamard_rows(4)))
-    monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", 255)
+    monkeypatch.setattr(errors, "MAX_WEIGHT_BYTES", 255)
     with pytest.raises(MemoryBudgetError, match=r"n=4 needs 256 bytes .* budget of 255 bytes"):
         model.weights
     assert recognize(model, model.entries[1].pattern).predicted == "b"  # factored recall needs no W
-    monkeypatch.setattr(core, "MAX_WEIGHT_BYTES", 256)
+    monkeypatch.setattr(errors, "MAX_WEIGHT_BYTES", 256)
     assert np.array_equal(model.weights, _stored(model.entries))
 
 
